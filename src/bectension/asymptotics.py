@@ -9,7 +9,6 @@ slope is reported rather than asserted.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,36 +77,22 @@ def _solve_row(beta: float, config: solver.SolverConfig | None) -> SweepRow:
     )
 
 
-def beta_sweep(
-    betas,
-    config: solver.SolverConfig | None = None,
-    max_workers: int | None = None,
-) -> SweepTable:
+def beta_sweep(betas, config: solver.SolverConfig | None = None) -> SweepTable:
     """One converged solve per beta, each on its beta-adapted default grid.
 
-    Rows are independent and run on a thread pool when ``max_workers`` > 1;
-    assembly order is always ascending beta.  If any solve fails the partial
-    table is raised inside a SweepError.
+    Rows are solved one after another and assembled in ascending beta.  If
+    any solve fails the partial table is raised inside a SweepError.
     """
     betas = [float(b) for b in betas]
     if any(b <= 0 for b in betas):
         raise ValueError("all beta values must be positive")
     rows: dict[float, SweepRow] = {}
     failures: dict[float, Exception] = {}
-    if max_workers is not None and max_workers > 1 and len(betas) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {b: pool.submit(_solve_row, b, config) for b in betas}
-        for b, fut in futures.items():
-            try:
-                rows[b] = fut.result()
-            except Exception as exc:  # noqa: BLE001 - reported per beta
-                failures[b] = exc
-    else:
-        for b in betas:
-            try:
-                rows[b] = _solve_row(b, config)
-            except Exception as exc:  # noqa: BLE001
-                failures[b] = exc
+    for b in betas:
+        try:
+            rows[b] = _solve_row(b, config)
+        except Exception as exc:  # noqa: BLE001 - reported per beta
+            failures[b] = exc
     table = SweepTable(list(rows.values()))
     if failures:
         raise SweepError(table, failures)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -170,8 +169,8 @@ def _solver_config(args) -> solver.SolverConfig:
 
 
 def _require_positive_beta(parser, beta: float):
-    if not beta > 0.0:
-        parser.error(f"beta must be positive, got {beta:g}")
+    if not 0.0 < beta < math.inf:
+        parser.error(f"beta must be positive and finite, got {beta:g}")
 
 
 def _result_row(result: solver.SurfaceTensionResult) -> dict:
@@ -220,13 +219,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "sweep":
-            try:
-                betas = parse_beta_list(args.betas)
-            except ValueError as exc:
-                parser.error(str(exc))
-            workers = os.environ.get("BEC_THREADS")
-            max_workers = int(workers) if workers else os.cpu_count()
-            table = asymptotics.beta_sweep(betas, _solver_config(args), max_workers=max_workers)
+            table = asymptotics.beta_sweep(parse_beta_list(args.betas), _solver_config(args))
             for line in _sweep_reports(table):
                 print(line, file=sys.stderr)
             emit(asymptotics.sweep_csv_rows(table), args.format, args.output,
@@ -283,6 +276,8 @@ def main(argv=None) -> int:
                   f"({result.grid.n_points} nodes)", file=sys.stderr)
             emit([_result_row(result)], args.format, args.output)
             return 0
+    except ValueError as exc:  # input rejected where it is used: grid, beta or eps list
+        parser.error(str(exc))
     except solver.ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1

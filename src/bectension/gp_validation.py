@@ -1,10 +1,12 @@
 """Desk-scale sharp-interface validation against the full pair energy.
 
 Pipeline: solve the single-component ground state eta at healing length eps
-(projected gradient flow with renormalization), minimize eps times the
-weighted pair energy under the two mass constraints, and compare with the
-limit value sigma(beta) * rho(t0)^(3/2) at the interface location t0 fixed
-by the limit constraint.  The gap must shrink as eps decreases.
+(bordered Newton on the unit L2 sphere), minimize eps times the weighted
+pair energy under the two mass constraints (augmented penalty, alternating
+projected Newton blocks on the banded kernel shared with ``solver``), and
+compare with the limit value sigma(beta) * rho(t0)^(3/2) at the interface
+location t0 fixed by the limit constraint.  The gap must shrink as eps
+decreases.  Each problem keeps its own energy and quadrature.
 
 Everything is one-dimensional with the harmonic trap V(x) = x^2, so the
 Thomas-Fermi cloud is (-lam, lam) with lam = (3/4)^(1/3) and the limit
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import analytic, solver, tf_geometry
 from .grid import Grid1D, ProfilePair
@@ -73,27 +74,26 @@ def _gp_gradient(u, x, eps, h, w):
     return g
 
 
-def solve_ground_state(
-    eps: float,
-    grid: Grid1D | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 100_000,
-) -> GroundState:
+def solve_ground_state(eps: float, grid: Grid1D | None = None, tol: float = 1e-9) -> GroundState:
     """Minimize the single-component energy on the unit sphere of L2.
 
-    Projected gradient flow: descend, clip negative values, renormalize, and
-    accept only energy decreases.  Converged when the max-norm of the
-    sphere-tangent gradient falls below ``tol``.  Boundary values are pinned
-    at zero; interior values of the result are strictly positive.
+    Bordered Newton on the stationarity system g = mu * grad(c), c = 0, from
+    the normalized Thomas-Fermi profile: the tridiagonal Hessian and the
+    constraint gradient share one banded solve, and the constraint row is
+    eliminated by Sherman-Morrison.  Each step is renormalized.  Converged
+    when the max-norm of the sphere-tangent gradient falls below ``tol``;
+    otherwise ConvergenceError carries the last normalized state.  Boundary
+    values are pinned at zero; interior values of the result are strictly
+    positive.
     """
     eps = _check_eps(eps)
     grid = grid or default_eta_grid(eps)
     x = grid.nodes
     h = grid.spacing
     w = grid.trapezoid_weights()
-
-    u = np.sqrt(np.maximum(TF_LAMBDA**2 - x * x, 0.0)) + 0.05
-    u[0] = u[-1] = 0.0
+    n = grid.n_points
+    fixed = np.zeros(n, dtype=bool)
+    fixed[0] = fixed[-1] = True
 
     def normalize(a):
         a = np.clip(a, 0.0, None)
@@ -101,77 +101,30 @@ def solve_ground_state(
         nrm = math.sqrt(h * float(w @ (a * a)))
         return a / nrm
 
-    def tangent(g, a):
-        gc = 2.0 * h * w * a  # gradient of the discrete norm constraint
-        gt = g - (g @ gc) / (gc @ gc) * gc
-        gt[0] = gt[-1] = 0.0
-        return gt
-
-    u = normalize(u)
-    energy = _gp_energy(u, x, eps, h, w)
-    g = _gp_gradient(u, x, eps, h, w)
-    gt = tangent(g, u)
-    tau = h * eps**2
-    it = 0
-    flow_tol = max(tol, 1e-5)  # the Newton polish below takes over from here
-    while it < max_iter:
-        if np.abs(gt).max() <= flow_tol:
-            break
-        it += 1
-        step = tau
-        while True:
-            cand = normalize(u - step * gt)
-            e_new = _gp_energy(cand, x, eps, h, w)
-            if e_new <= energy - 1e-4 * step * float(gt @ gt) or step < 1e-20:
-                break
-            step *= 0.5
-        if e_new > energy:  # retraction noise floor reached; Newton takes over
-            break
-        g_new = _gp_gradient(cand, x, eps, h, w)
-        gt_new = tangent(g_new, cand)
-        s = cand - u
-        y = gt_new - gt
-        sy = s @ y
-        tau = min(max((s @ s) / sy, 1e-14), 1e3) if sy > 0 else step * 2.0
-        u, energy, gt = cand, e_new, gt_new
-
-    # Bordered Newton polish on the stationarity system g = mu * grad(c),
-    # c = 0: tridiagonal Hessian plus one constraint row, eliminated by
-    # Sherman-Morrison on the banded factorization.  Quadratic convergence
-    # carries the flow iterate down to the requested tolerance.
-    n = grid.n_points
-    for _ in range(60):
+    u = normalize(np.sqrt(np.maximum(TF_LAMBDA**2 - x * x, 0.0)) + 0.05)
+    steps = 0
+    while True:
         g = _gp_gradient(u, x, eps, h, w)
-        gc = 2.0 * h * w * u
+        gc = 2.0 * h * w * u  # gradient of the discrete norm constraint
         mu = float(g @ gc) / float(gc @ gc)
-        gt = tangent(g, u)
-        it += 1
+        gt = g - mu * gc
+        gt[0] = gt[-1] = 0.0
         if np.abs(gt).max() <= tol:
             break
+        if steps == 60:
+            raise solver.ConvergenceError(
+                f"ground state stalled at tangent gradient {np.abs(gt).max():.3e}",
+                GroundState(eps=eps, grid=grid, values=u,
+                            energy=_gp_energy(u, x, eps, h, w), iterations=steps),
+            )
+        steps += 1
         c = h * float(w @ (u * u)) - 1.0
         diag = np.full(n, 2.0 / h) + h / eps**2 * w * (x * x + 3.0 * u * u) - mu * 2.0 * h * w
         off = np.full(n - 1, -1.0 / h)
-        r1 = -(g - mu * gc)
-        col = gc.copy()
-        diag[0] = diag[-1] = 1.0
-        off[0] = off[-1] = 0.0
-        r1[0] = r1[-1] = 0.0
-        col[0] = col[-1] = 0.0
-        ab = np.zeros((3, n))
-        ab[0, 1:] = off
-        ab[1] = diag
-        ab[2, :-1] = off
-        z1 = solve_banded((1, 1), ab, r1)
-        z2 = solve_banded((1, 1), ab, col)
+        z1, z2 = solver.banded_solve(diag, off, fixed, -(g - mu * gc), gc).T
         denom = float(gc @ z2)
         dmu = (-c - float(gc @ z1)) / denom if denom != 0.0 else 0.0
-        du = z1 + dmu * z2
-        u = normalize(u + du)
-    else:
-        raise solver.ConvergenceError(
-            f"ground state stalled at tangent gradient {np.abs(gt).max():.3e}",
-            None,
-        )
+        u = normalize(u + z1 + dmu * z2)
     # The true state is strictly positive but decays below double precision
     # well before the boundary; floor the underflowed tail at a harmless
     # positive level so the positivity invariant stays checkable.
@@ -182,7 +135,7 @@ def solve_ground_state(
     energy = _gp_energy(u, x, eps, h, w)
     if not np.all(u[1:-1] > 0.0):
         raise RuntimeError("ground state lost interior positivity")
-    return GroundState(eps=eps, grid=grid, values=u, energy=energy, iterations=it)
+    return GroundState(eps=eps, grid=grid, values=u, energy=energy, iterations=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +273,16 @@ def minimize_weighted_pair(
     mu0: float = 10.0,
     multiplier_updates: int = 3,
     inner_tol: float = 1e-6,
-    max_inner: int = 6000,
 ) -> GammaRow:
     """Minimize eps * F under both mass constraints; report the limit gap.
 
     Constraints are enforced by an augmented penalty tightened over
     continuation: the quadratic weight grows tenfold per stage while the
     linear multipliers absorb the constraint forces, so the final mass
-    residuals drop below 1e-6 without an ill-conditioned penalty.
+    residuals drop below 1e-6 without an ill-conditioned penalty.  Each
+    inner minimization alternates projected Newton blocks on phi and on v
+    (the kernel of ``solver.projected_newton``), the penalty curvature
+    entering each block as low-rank columns.
     """
     eps = _check_eps(eps)
     if beta <= 0:
@@ -341,7 +296,10 @@ def minimize_weighted_pair(
     x = grid.nodes
     h = grid.spacing
     w = grid.trapezoid_weights()
-    e2 = eta.values**2
+    e = eta.values
+    e2 = e**2
+    e4 = e**4
+    eta_mid2 = (0.5 * (e[:-1] + e[1:])) ** 2
 
     t0 = interface_location(alpha1)
     rho0 = max(TF_LAMBDA**2 - t0 * t0, 0.0)
@@ -367,171 +325,102 @@ def minimize_weighted_pair(
 
     # Outside the cloud plus a margin every energy weight has decayed below
     # double-precision relevance; freezing the fields there removes a large
-    # block of indifferent directions that would otherwise stall the descent.
+    # block of indifferent directions that would otherwise stall the solve.
     frozen = np.abs(x) > TF_LAMBDA + 0.35
     frozen[0] = frozen[-1] = True
 
-    def objective_and_grad(v, phi):
-        fv, fphi = _pair_gradient(v, phi, eps, beta, eta)
-        f = weighted_pair_energy(v, phi, eps, beta, eta).total
+    def constraints(v, phi):
         c1, c2 = _mass_terms(v, phi, eta)
-        c1 -= 1.0
-        c2 -= target2
-        val = eps * f + lam1 * c1 + lam2 * c2 + 0.5 * mu * (c1 * c1 + c2 * c2)
+        return c1 - 1.0, c2 - target2
+
+    def objective(v, phi):
+        c1, c2 = constraints(v, phi)
+        f = weighted_pair_energy(v, phi, eps, beta, eta).total
+        return eps * f + lam1 * c1 + lam2 * c2 + 0.5 * mu * (c1 * c1 + c2 * c2)
+
+    def gradient(v, phi):
+        fv, fphi = _pair_gradient(v, phi, eps, beta, eta)
+        c1, c2 = constraints(v, phi)
         q1 = lam1 + mu * c1
         q2 = lam2 + mu * c2
-        cos_phi = np.cos(phi)
-        gv = eps * fv + 2.0 * h * w * e2 * v * (q1 + q2 * cos_phi)
+        gv = eps * fv + 2.0 * h * w * e2 * v * (q1 + q2 * np.cos(phi))
         gphi = eps * fphi - h * w * e2 * v * v * np.sin(phi) * q2
         gv[frozen] = 0.0
         gphi[frozen] = 0.0
-        return val, gv, gphi, c1, c2
+        return gv, gphi
 
-    def pg_norm(v, phi, gv, gphi):
-        pgv = np.where(v <= 0.0, np.minimum(gv, 0.0),
-                       np.where(v >= v_hi, np.maximum(gv, 0.0), gv))
-        pgp = np.where(phi <= 0.0, np.minimum(gphi, 0.0),
-                       np.where(phi >= np.pi, np.maximum(gphi, 0.0), gphi))
-        return max(np.abs(pgv).max(), np.abs(pgp).max())
+    def pg_norm(v, phi):
+        gv, gphi = gradient(v, phi)
+        return max(np.abs(solver._projected(v, gv, 0.0, v_hi)).max(),
+                   np.abs(solver._projected(phi, gphi, 0.0, np.pi)).max())
 
-    def descent_steps(v, phi, tol, max_it):
-        val, gv, gphi, c1, c2 = objective_and_grad(v, phi)
-        tau = h * eps
-        it = 0
-        while it < max_it and pg_norm(v, phi, gv, gphi) > tol:
-            it += 1
-            step = tau
-            while True:
-                v_new = np.clip(v - step * gv, 0.0, v_hi)
-                phi_new = np.clip(phi - step * gphi, 0.0, np.pi)
-                val_new, gv_new, gphi_new, c1, c2 = objective_and_grad(v_new, phi_new)
-                dec = gv @ (v - v_new) + gphi @ (phi - phi_new)
-                if val_new <= val - 1e-4 * dec or step < 1e-20:
-                    break
-                step *= 0.5
-            if val_new > val:  # stalled at machine precision
-                break
-            sv, sp = v_new - v, phi_new - phi
-            yv, yp = gv_new - gv, gphi_new - gphi
-            sy = sv @ yv + sp @ yp
-            tau = min(max((sv @ sv + sp @ sp) / sy, 1e-14), 1e3) if sy > 0 else step * 2.0
-            v, phi, val, gv, gphi = v_new, phi_new, val_new, gv_new, gphi_new
-        return v, phi
+    def curvature(v, phi, which):
+        """Tridiagonal model of one block; the penalty adds the columns
+        sqrt(mu) * grad(c) as a low-rank term."""
+        c1, c2 = constraints(v, phi)
+        q1 = lam1 + mu * c1
+        q2 = lam2 + mu * c2
+        cos_phi = np.cos(phi)
+        sin_phi = np.sin(phi)
+        kin = np.zeros(v.size)
+        if which == "v":
+            dphi2 = np.diff(phi) ** 2
+            kin[:-1] += eta_mid2 / h
+            kin[1:] += eta_mid2 / h
+            off = -eta_mid2 / h
+            # angle-kinetic curvature in v: per-cell squared linear form
+            a = e2 / (16.0 * h)
+            kin[:-1] += a[:-1] * dphi2
+            kin[1:] += a[1:] * dphi2
+            off = off + (e[:-1] * e[1:]) * dphi2 / (16.0 * h)
+            pot = eps * (
+                h / eps**2 * w * e4 * (3.0 * v * v - 1.0)
+                + 1.5 * beta * h / eps**2 * w * e4 * v * v * sin_phi**2
+            )
+            pot += 2.0 * h * w * e2 * (q1 + q2 * cos_phi)
+            cols = (
+                math.sqrt(mu) * 2.0 * h * w * e2 * v,
+                math.sqrt(mu) * 2.0 * h * w * e2 * v * cos_phi,
+            )
+        else:
+            ev = e * v
+            a = (0.5 * (ev[:-1] + ev[1:])) ** 2 / (4.0 * h)
+            kin[:-1] += a
+            kin[1:] += a
+            off = -a
+            pot = eps * (beta * h / (4.0 * eps**2) * w * e4 * v**4 * np.cos(2.0 * phi))
+            pot -= q2 * h * w * e2 * v * v * cos_phi
+            cols = (-math.sqrt(mu) * h * w * e2 * v * v * sin_phi,)
+        return eps * kin, eps * off, pot, cols
 
     def newton_block(v, phi, which, tol, max_steps):
-        """Projected damped Newton on one field of the augmented objective.
+        if which == "v":
+            v, _ = solver.projected_newton(
+                v, 0.0, v_hi, frozen,
+                lambda x: objective(x, phi), lambda x: gradient(x, phi)[0],
+                lambda x: curvature(x, phi, "v"), tol, max_steps,
+            )
+        else:
+            phi, _ = solver.projected_newton(
+                phi, 0.0, np.pi, frozen,
+                lambda x: objective(v, x), lambda x: gradient(v, x)[1],
+                lambda x: curvature(v, x, "phi"), tol, max_steps,
+            )
+        return v, phi
 
-        The banded part carries the pair-energy curvature; the penalty adds
-        mu * grad(c) grad(c)^T, folded in by a Woodbury correction.
-        """
-        n = grid.n_points
-        lo, hi = (0.0, v_hi) if which == "v" else (0.0, np.pi)
-        val, gv, gphi, c1, c2 = objective_and_grad(v, phi)
-        for _ in range(max_steps):
-            g = gv if which == "v" else gphi
-            x = v if which == "v" else phi
-            pg = np.where(x <= lo, np.minimum(g, 0.0),
-                          np.where(x >= hi, np.maximum(g, 0.0), g))
-            if np.abs(pg).max() <= tol:
-                break
-            ev = eta.values * v
-            ev_mid = 0.5 * (ev[:-1] + ev[1:])
-            dphi = np.diff(phi)
-            e4 = eta.values**4
-            q1 = lam1 + mu * c1
-            q2 = lam2 + mu * c2
-            cos_phi = np.cos(phi)
-            sin_phi = np.sin(phi)
-            if which == "v":
-                eta_mid2 = (0.5 * (eta.values[:-1] + eta.values[1:])) ** 2
-                kin_diag = np.zeros(n)
-                kin_diag[:-1] += eta_mid2 / h
-                kin_diag[1:] += eta_mid2 / h
-                off = -eta_mid2 / h
-                # angle-kinetic curvature in v: per-cell squared linear form
-                a = eta.values**2 / (16.0 * h)
-                kin_diag[:-1] += a[:-1] * dphi * dphi
-                kin_diag[1:] += a[1:] * dphi * dphi
-                off = off + (eta.values[:-1] * eta.values[1:]) * dphi * dphi / (16.0 * h)
-                kin_diag *= eps
-                off = off * eps
-                pot = eps * (
-                    h / eps**2 * w * e4 * (3.0 * v * v - 1.0)
-                    + 1.5 * beta * h / eps**2 * w * e4 * v * v * sin_phi**2
-                )
-                pot += 2.0 * h * w * e2 * (q1 + q2 * cos_phi)
-                ucols = [
-                    math.sqrt(mu) * 2.0 * h * w * e2 * v,
-                    math.sqrt(mu) * 2.0 * h * w * e2 * v * cos_phi,
-                ]
-            else:
-                a = ev_mid**2 / (4.0 * h)
-                kin_diag = np.zeros(n)
-                kin_diag[:-1] += a
-                kin_diag[1:] += a
-                off = -a
-                kin_diag *= eps
-                off = off * eps
-                pot = eps * (beta * h / (4.0 * eps**2) * w * e4 * v**4 * np.cos(2.0 * phi))
-                pot -= q2 * h * w * e2 * v * v * cos_phi
-                ucols = [-math.sqrt(mu) * h * w * e2 * v * v * sin_phi]
-            shift = max(0.0, -pot[~frozen].min()) if np.any(~frozen) else 0.0
-            diag = kin_diag + pot + shift
-            off = off.copy()
-            rhs = -g.copy()
-            diag[frozen] = 1.0
-            rhs[frozen] = 0.0
-            off[frozen[:-1]] = 0.0
-            off[frozen[1:]] = 0.0
-            U = np.column_stack(ucols)
-            U[frozen] = 0.0
-            ab = np.zeros((3, n))
-            ab[0, 1:] = off
-            ab[1] = diag
-            ab[2, :-1] = off
-            Z = solve_banded((1, 1), ab, np.column_stack([rhs, U]))
-            z0, ZU = Z[:, 0], Z[:, 1:]
-            S = np.eye(U.shape[1]) + U.T @ ZU
-            d = z0 - ZU @ np.linalg.solve(S, U.T @ z0)
-            slope = g @ d
-            if not np.isfinite(slope) or slope >= 0.0:
-                d = -pg
-                slope = g @ d
-            alpha = 1.0
-            while True:
-                x_new = np.clip(x + alpha * d, lo, hi)
-                x_new[frozen] = x[frozen]
-                if which == "v":
-                    val_new, gv_new, gphi_new, c1n, c2n = objective_and_grad(x_new, phi)
-                else:
-                    val_new, gv_new, gphi_new, c1n, c2n = objective_and_grad(v, x_new)
-                if val_new <= val + 1e-4 * alpha * slope or alpha < 1e-16:
-                    break
-                alpha *= 0.5
-            if val_new > val:
-                break
-            if which == "v":
-                v = x_new
-            else:
-                phi = x_new
-            val, gv, gphi, c1, c2 = val_new, gv_new, gphi_new, c1n, c2n
-        return v, phi, c1, c2
-
-    def inner_minimize(v, phi, tol, max_it):
-        v, phi = descent_steps(v, phi, max(tol, 1e-3), min(max_it, 300))
-        c1 = c2 = None
+    def inner_minimize(v, phi, tol):
         for _ in range(40):
-            v, phi, c1, c2 = newton_block(v, phi, "phi", 0.5 * tol, 20)
-            v, phi, c1, c2 = newton_block(v, phi, "v", 0.5 * tol, 20)
-            _, gv, gphi, c1, c2 = objective_and_grad(v, phi)
-            if pg_norm(v, phi, gv, gphi) <= tol:
+            v, phi = newton_block(v, phi, "phi", 0.5 * tol, 20)
+            v, phi = newton_block(v, phi, "v", 0.5 * tol, 20)
+            if pg_norm(v, phi) <= tol:
                 break
-        return v, phi, c1, c2
+        return v, phi
 
     for stage in range(stages):
         tol_stage = max(inner_tol, 1e-4 * 10.0 ** (-stage))
         for _ in range(multiplier_updates):
-            v, phi, c1, c2 = inner_minimize(v, phi, tol_stage, max_inner)
+            v, phi = inner_minimize(v, phi, tol_stage)
+            c1, c2 = constraints(v, phi)
             lam1 += mu * c1
             lam2 += mu * c2
         mu *= 10.0

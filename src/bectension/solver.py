@@ -9,11 +9,14 @@ with v in [0,1], phi in [0,pi], v(+-L)=1, phi(-L)=0, phi(L)=pi.
 Derivatives are forward differences on cells, potentials trapezoid sums;
 the gradient below is the exact gradient of that discrete functional.
 
-The minimizer runs projected gradient descent (Barzilai-Borwein trial step,
-monotone Armijo backtracking, boxes clamped, boundaries pinned), then an
-alternating block refinement: damped projected Newton on phi at fixed v and
-on v at fixed phi, each a strictly convex subproblem after the classical
-substitutions sin(phi) and v^2.  Energy never increases across a half-step.
+The minimizer starts from the optimal plateau test pair and alternates two
+blocks of damped projected Newton: on phi at fixed v and on v at fixed phi,
+each a strictly convex subproblem after the classical substitutions sin(phi)
+and v^2.  Every Newton step solves one banded system (boundary rows pinned)
+and backtracks along the projected arc, falling back to -P grad E when the
+Newton direction does not descend; energy never increases across a
+half-step.  ``banded_solve`` and ``projected_newton`` are the kernel the
+constrained pair solve of ``gp_validation`` shares.
 """
 
 from __future__ import annotations
@@ -48,12 +51,7 @@ class SolverConfig:
     n_points: int | None = None           # grid override
     spacing: float | None = None          # grid override (target; actual h <= this)
     grad_tol: float = 1e-8                # max-norm of the projected gradient
-    max_iterations: int = 200_000
-    init: str = "test_pair"               # "test_pair" or "flat"
-    armijo: float = 1e-4                  # sufficient-decrease constant
-    backtrack: float = 0.5                # step shrink factor in the line search
-    descent_budget: int = 400             # gradient iterations before refinement
-    refine: bool = True                   # alternating convex refinement toggle
+    max_iterations: int = 200_000         # budget of Newton half-steps
 
     def __post_init__(self):
         if self.grad_tol <= 0:
@@ -71,7 +69,7 @@ class SurfaceTensionResult:
     el_residual_v: float
     el_residual_phi: float
     equipartition_l2: float
-    iterations: int
+    iterations: int                        # Newton half-steps
     grid: Grid1D
     pair: ProfilePair = field(repr=False)
 
@@ -162,131 +160,72 @@ def discrete_gradient(pair: ProfilePair, beta: float):
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     return beta
 
 
+def _projected(x, g, lo, hi):
+    """Gradient with the components pushing out of the box [lo, hi] removed."""
+    return np.where(x <= lo, np.minimum(g, 0.0), np.where(x >= hi, np.maximum(g, 0.0), g))
+
+
 def _projected_gradient_norm(v, phi, gv, gphi) -> float:
-    pgv = np.where(v <= 0.0, np.minimum(gv, 0.0),
-                   np.where(v >= 1.0, np.maximum(gv, 0.0), gv))
-    pgphi = np.where(phi <= 0.0, np.minimum(gphi, 0.0),
-                     np.where(phi >= np.pi, np.maximum(gphi, 0.0), gphi))
-    return max(np.abs(pgv).max(), np.abs(pgphi).max())
+    return max(np.abs(_projected(v, gv, 0.0, 1.0)).max(),
+               np.abs(_projected(phi, gphi, 0.0, np.pi)).max())
 
 
 # ---------------------------------------------------------------------------
-# projected gradient descent with Barzilai-Borwein steps
+# banded projected Newton (shared with gp_validation)
 # ---------------------------------------------------------------------------
 
-def _pgd(v, phi, beta, h, w, tol, max_iter, armijo, backtrack):
-    """Monotone projected descent; returns (v, phi, iterations, pg_norm)."""
-    energy = _energy(v, phi, beta, h, w)
-    gv, gphi = _gradient(v, phi, beta, h, w)
-    gv[0] = gv[-1] = 0.0
-    gphi[0] = gphi[-1] = 0.0
-    tau = h  # kinetic curvature is O(1/h), so O(h) is a sane first trial
-    it = 0
-    while it < max_iter:
-        pg = _projected_gradient_norm(v, phi, gv, gphi)
-        if pg <= tol:
-            return v, phi, it, pg
-        it += 1
-        step = tau
-        while True:
-            v_new = np.clip(v - step * gv, 0.0, 1.0)
-            phi_new = np.clip(phi - step * gphi, 0.0, np.pi)
-            e_new = _energy(v_new, phi_new, beta, h, w)
-            decrease = gv @ (v - v_new) + gphi @ (phi - phi_new)
-            if e_new <= energy - armijo * decrease or step < 1e-18:
-                break
-            step *= backtrack
-        if e_new > energy:  # stalled at machine precision; stay monotone
-            break
-        gv_new, gphi_new = _gradient(v_new, phi_new, beta, h, w)
-        gv_new[0] = gv_new[-1] = 0.0
-        gphi_new[0] = gphi_new[-1] = 0.0
-        sv, sphi = v_new - v, phi_new - phi
-        yv, yphi = gv_new - gv, gphi_new - gphi
-        sy = sv @ yv + sphi @ yphi
-        ss = sv @ sv + sphi @ sphi
-        tau = min(max(ss / sy, 1e-12), 1e6) if sy > 0 else step * 2.0
-        v, phi, energy = v_new, phi_new, e_new
-        gv, gphi = gv_new, gphi_new
-    pg = _projected_gradient_norm(v, phi, gv, gphi)
-    return v, phi, it, pg
+def banded_solve(diag, off, fixed, *columns):
+    """Solve the symmetric tridiagonal system (diag, off) for every column.
 
-
-# ---------------------------------------------------------------------------
-# alternating convex refinement (block projected Newton)
-# ---------------------------------------------------------------------------
-
-def _tridiag_solve(diag, off, rhs):
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
+    Rows in ``fixed`` are pinned: they decouple from their neighbours and
+    their solution entries are zero.  All columns share one factorization;
+    the result has one column per right-hand side.
+    """
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = np.where(fixed[:-1] | fixed[1:], 0.0, off)
+    ab[1] = np.where(fixed, 1.0, diag)
+    ab[2, :-1] = ab[0, 1:]
+    rhs = np.column_stack(columns)
+    rhs[fixed] = 0.0
     return solve_banded((1, 1), ab, rhs)
 
 
-def _newton_block(v, phi, beta, h, w, which, tol, max_steps, armijo, backtrack):
-    """Projected damped Newton on one field; energy never increases.
+def projected_newton(x, lo, hi, fixed, energy, gradient, curvature, tol, max_steps):
+    """Projected damped Newton on one field in the box [lo, hi]; returns (x, steps).
 
-    The subproblem is strictly convex after the substitutions sin(phi)
-    (angle block) and v^2 (amplitude block); the iteration runs in the
-    original variables with the indefinite part of the diagonal shifted
-    so the model stays positive definite.
+    ``energy(x)`` and ``gradient(x)`` evaluate the objective with every other
+    field held fixed.  ``curvature(x)`` returns the model ``(kin, off, pot,
+    cols)``: a tridiagonal part (diagonal ``kin + pot``, off-diagonal
+    ``off``) whose potential diagonal ``pot`` is shifted until it is
+    nonnegative on the free rows, so the model stays positive definite, plus
+    low-rank columns U adding U U^T, folded in by a Woodbury correction.
+    Rows in ``fixed`` never move.  Nodes resting on a box bound stay in the
+    system so one step can detach whole flat regions; the projected arc and
+    the Armijo search take care of any step component leaving the box, with
+    -P grad E as the fallback direction.  The energy never increases.
     """
-    n = v.size
-    lo, hi = (0.0, 1.0) if which == "v" else (0.0, np.pi)
+    value = energy(x)
+    free = ~fixed
     steps = 0
-    energy = _energy(v, phi, beta, h, w)
     for _ in range(max_steps):
-        gv, gphi = _gradient(v, phi, beta, h, w)
-        g = gv if which == "v" else gphi
-        x = v if which == "v" else phi
-        g = g.copy()
-        g[0] = g[-1] = 0.0
-        pg = np.where(x <= lo, np.minimum(g, 0.0),
-                      np.where(x >= hi, np.maximum(g, 0.0), g))
+        g = np.where(fixed, 0.0, gradient(x))
+        pg = _projected(x, g, lo, hi)
         if np.abs(pg).max() <= tol:
             break
         steps += 1
 
-        v2 = v * v
-        dphi = np.diff(phi)
-        if which == "v":
-            kin_diag = np.full(n, 2.0 / h)
-            off = np.full(n - 1, -1.0 / h)
-            pot = h * w * (3.0 * v2 - 1.0)
-            pot[:-1] += dphi * dphi / (8.0 * h)
-            pot[1:] += dphi * dphi / (8.0 * h)
-            pot += 1.5 * beta * h * w * v2 * np.sin(phi) ** 2
-        else:
-            a = (v2[:-1] + v2[1:]) / (8.0 * h)
-            kin_diag = np.zeros(n)
-            kin_diag[:-1] += a
-            kin_diag[1:] += a
-            off = -a
-            pot = 0.25 * beta * h * w * v2 * v2 * np.cos(2.0 * phi)
-        shift = max(0.0, -pot[1:-1].min()) if n > 2 else 0.0
-        diag = kin_diag + pot + shift
-
-        # Only the pinned boundary nodes leave the system; nodes resting on a
-        # box bound stay in so one step can detach whole flat regions (their
-        # rows couple them to the released front).  The projected arc and the
-        # line search take care of any step component leaving the box.
-        fixed = np.zeros(n, dtype=bool)
-        fixed[0] = fixed[-1] = True
-        diag = diag.copy()
-        off = off.copy()
-        rhs = -g.copy()
-        diag[fixed] = 1.0
-        rhs[fixed] = 0.0
-        off[fixed[:-1]] = 0.0
-        off[fixed[1:]] = 0.0
-        d = _tridiag_solve(diag, off, rhs)
+        kin, off, pot, cols = curvature(x)
+        shift = max(0.0, -pot[free].min()) if free.any() else 0.0
+        Z = banded_solve(kin + pot + shift, off, fixed, -g, *cols)
+        d = Z[:, 0]
+        if cols:  # pinned rows of Z are zero, so U needs no masking there
+            U, ZU = np.column_stack(cols), Z[:, 1:]
+            d = d - ZU @ np.linalg.solve(np.eye(len(cols)) + U.T @ ZU, U.T @ d)
 
         slope = g @ d
         if not np.isfinite(slope) or slope >= 0.0:
@@ -295,20 +234,65 @@ def _newton_block(v, phi, beta, h, w, which, tol, max_steps, armijo, backtrack):
         alpha = 1.0
         while True:
             x_new = np.clip(x + alpha * d, lo, hi)
-            if which == "v":
-                e_new = _energy(x_new, phi, beta, h, w)
-            else:
-                e_new = _energy(v, x_new, beta, h, w)
-            if e_new <= energy + armijo * alpha * slope or alpha < 1e-16:
+            x_new[fixed] = x[fixed]
+            value_new = energy(x_new)
+            if value_new <= value + 1e-4 * alpha * slope or alpha < 1e-16:
                 break
-            alpha *= backtrack
-        if e_new > energy:
+            alpha *= 0.5
+        if value_new > value:  # stalled at machine precision; stay monotone
             break
-        energy = e_new
-        if which == "v":
-            v = x_new
-        else:
-            phi = x_new
+        x, value = x_new, value_new
+    return x, steps
+
+
+# ---------------------------------------------------------------------------
+# alternating convex refinement
+# ---------------------------------------------------------------------------
+
+def _newton_block(v, phi, beta, h, w, which, tol, max_steps):
+    """Projected Newton on one field at the other fixed; returns (v, phi, steps).
+
+    The subproblem is strictly convex after the substitutions sin(phi)
+    (angle block) and v^2 (amplitude block); the iteration runs in the
+    original variables on the shifted tridiagonal model of the kernel.
+    """
+    n = v.size
+    fixed = np.zeros(n, dtype=bool)
+    fixed[0] = fixed[-1] = True
+    if which == "v":
+        dphi2 = np.diff(phi) ** 2
+        s2 = np.sin(phi) ** 2
+
+        def curvature(x):
+            x2 = x * x
+            pot = h * w * (3.0 * x2 - 1.0)
+            pot[:-1] += dphi2 / (8.0 * h)
+            pot[1:] += dphi2 / (8.0 * h)
+            pot += 1.5 * beta * h * w * x2 * s2
+            return np.full(n, 2.0 / h), np.full(n - 1, -1.0 / h), pot, ()
+
+        v, steps = projected_newton(
+            v, 0.0, 1.0, fixed,
+            lambda x: _energy(x, phi, beta, h, w),
+            lambda x: _gradient(x, phi, beta, h, w)[0],
+            curvature, tol, max_steps,
+        )
+    else:
+        v2 = v * v
+        a = (v2[:-1] + v2[1:]) / (8.0 * h)
+        kin = np.zeros(n)
+        kin[:-1] += a
+        kin[1:] += a
+
+        def curvature(x):
+            return kin, -a, 0.25 * beta * h * w * v2 * v2 * np.cos(2.0 * x), ()
+
+        phi, steps = projected_newton(
+            phi, 0.0, np.pi, fixed,
+            lambda x: _energy(v, x, beta, h, w),
+            lambda x: _gradient(v, x, beta, h, w)[1],
+            curvature, tol, max_steps,
+        )
     return v, phi, steps
 
 
@@ -316,15 +300,13 @@ def alternating_refine(
     pair: ProfilePair,
     beta: float,
     grad_tol: float = 1e-8,
-    max_rounds: int = 400,
-    armijo: float = 1e-4,
-    backtrack: float = 0.5,
+    max_steps: int = 200_000,
 ) -> tuple[ProfilePair, int]:
     """Alternate the two convex block subproblems until joint stationarity.
 
-    Returns the refined pair and the number of Newton half-step iterations.
-    Refuses pairs whose amplitude touches 0 (the angle substitution
-    degenerates there); tighten the main solve first.
+    Returns the refined pair and the number of Newton half-steps taken, at
+    most ``max_steps``.  Refuses pairs whose amplitude touches 0 (the angle
+    substitution degenerates there).
     """
     beta = _check_beta(beta)
     if pair.v.min() <= 0.0:
@@ -334,10 +316,13 @@ def alternating_refine(
     v, phi = pair.v.copy(), pair.phi.copy()
     block_tol = 0.25 * grad_tol
     total_steps = 0
-    for _ in range(max_rounds):
-        v, phi, s1 = _newton_block(v, phi, beta, h, w, "phi", block_tol, 40, armijo, backtrack)
-        v, phi, s2 = _newton_block(v, phi, beta, h, w, "v", block_tol, 40, armijo, backtrack)
-        total_steps += s1 + s2
+    while total_steps < max_steps:
+        v, phi, s1 = _newton_block(v, phi, beta, h, w, "phi", block_tol,
+                                   min(40, max_steps - total_steps))
+        total_steps += s1
+        v, phi, s2 = _newton_block(v, phi, beta, h, w, "v", block_tol,
+                                   min(40, max_steps - total_steps))
+        total_steps += s2
         gv, gphi = _gradient(v, phi, beta, h, w)
         gv[0] = gv[-1] = 0.0
         gphi[0] = gphi[-1] = 0.0
@@ -503,15 +488,11 @@ def symmetrize(pair: ProfilePair, beta: float = 1.0) -> ProfilePair:
 # top-level solve
 # ---------------------------------------------------------------------------
 
-def initial_pair(beta: float, grid: Grid1D, kind: str = "test_pair") -> ProfilePair:
-    if kind == "test_pair":
-        m_bar, _ = analytic.minimize_plateau_objective(beta)
-        T = analytic.optimal_plateau_halfwidth(m_bar, beta)
-        return analytic.test_pair_fields(m_bar, T, grid)
-    if kind == "flat":
-        phi = np.clip(0.5 * np.pi * (grid.nodes / grid.half_width + 1.0), 0.0, np.pi)
-        return ProfilePair(grid, np.ones(grid.n_points), phi)
-    raise ValueError(f"unknown initialization {kind!r}")
+def initial_pair(beta: float, grid: Grid1D) -> ProfilePair:
+    """The optimal plateau test pair, the starting point of every solve."""
+    m_bar, _ = analytic.minimize_plateau_objective(beta)
+    T = analytic.optimal_plateau_halfwidth(m_bar, beta)
+    return analytic.test_pair_fields(m_bar, T, grid)
 
 
 def _result_from_pair(pair, beta, iterations) -> SurfaceTensionResult:
@@ -548,35 +529,17 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
     else:
         grid = default_grid(beta)
 
-    pair = initial_pair(beta, grid, config.init)
-    h, w = grid.spacing, grid.trapezoid_weights()
-    v, phi = pair.v, pair.phi
-
-    pgd_tol = max(config.grad_tol, 1e-5) if config.refine else config.grad_tol
-    budget = min(config.descent_budget, config.max_iterations) if config.refine \
-        else config.max_iterations
-    v, phi, iters, pg = _pgd(
-        v, phi, beta, h, w, pgd_tol, budget, config.armijo, config.backtrack
+    pair, steps = alternating_refine(
+        initial_pair(beta, grid), beta,
+        grad_tol=config.grad_tol, max_steps=config.max_iterations,
     )
-    pair = ProfilePair(grid, v, phi)
-
-    if config.refine and pg > config.grad_tol:
-        remaining = max(config.max_iterations - iters, 1)
-        pair, steps = alternating_refine(
-            pair, beta,
-            grad_tol=config.grad_tol,
-            max_rounds=max(remaining // 2, 4),
-            armijo=config.armijo,
-            backtrack=config.backtrack,
-        )
-        iters += steps
-        gv, gphi = discrete_gradient(pair, beta)
-        pg = _projected_gradient_norm(pair.v, pair.phi, gv, gphi)
-
+    gv, gphi = discrete_gradient(pair, beta)
+    pg = _projected_gradient_norm(pair.v, pair.phi, gv, gphi)
+    result = _result_from_pair(pair, beta, steps)
     if pg > config.grad_tol:
         raise ConvergenceError(
             f"projected gradient {pg:.3e} above tolerance {config.grad_tol:.3e} "
-            f"after {iters} iterations",
-            _result_from_pair(pair, beta, iters),
+            f"after {steps} Newton half-steps",
+            result,
         )
-    return _result_from_pair(pair, beta, iters)
+    return result

@@ -66,7 +66,7 @@ class TestBetaSweep:
             assert row.lower - h <= row.sigma <= row.upper + h
 
     def test_failures_carry_partial_table(self):
-        bad = solver.SolverConfig(half_width=5.0, spacing=0.05, refine=False,
+        bad = solver.SolverConfig(half_width=5.0, spacing=0.05,
                                   max_iterations=2, grad_tol=1e-14)
         with pytest.raises(asymptotics.SweepError) as err:
             asymptotics.beta_sweep([1.0, 2.0], bad)
@@ -76,14 +76,6 @@ class TestBetaSweep:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             asymptotics.beta_sweep([1.0, 0.0])
-
-    def test_parallel_matches_serial(self):
-        cfg = solver.SolverConfig(half_width=10.0, spacing=0.05, grad_tol=1e-7)
-        serial = asymptotics.beta_sweep([0.5, 2.0], cfg)
-        parallel = asymptotics.beta_sweep([0.5, 2.0], cfg, max_workers=2)
-        assert [r.beta for r in serial.rows] == [r.beta for r in parallel.rows]
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a.sigma == b.sigma
 
 
 class TestLargeBetaReport:

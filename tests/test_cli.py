@@ -59,6 +59,21 @@ class TestValidation:
             cli.main(["sweep", "--betas", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sigma", "--beta", "inf"],
+        ["sigma", "--beta", "1", "--spacing", "0"],
+        ["gamma", "--beta", "inf", "--eps-list", "0.04"],
+        ["gamma", "--beta", "1", "--eps-list", "0.2"],
+        ["gamma", "--beta", "1", "--eps-list", "0.02,0.04"],
+    ])
+    def test_bad_input_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert "Traceback" not in err
+
     def test_unwritable_output(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--beta", "1",
                                "--output", "/nonexistent-dir/x.csv")
@@ -109,8 +124,7 @@ class TestSigmaAndProfile:
 
 
 class TestSweep:
-    def test_row_count_and_reports(self, capsys, monkeypatch):
-        monkeypatch.setenv("BEC_THREADS", "2")
+    def test_row_count_and_reports(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--betas", "0.5:2:3-log", *FAST_GRID)
         assert code == 0
         lines = out.strip().splitlines()

@@ -45,6 +45,14 @@ class TestGroundState:
         gt[0] = gt[-1] = 0.0
         assert np.abs(gt).max() <= 1e-9
 
+    def test_failure_carries_last_state(self):
+        with pytest.raises(solver.ConvergenceError) as err:
+            gp.solve_ground_state(0.05, tol=0.0)
+        state = err.value.result
+        assert isinstance(state, gp.GroundState)
+        assert abs(state.norm() - 1.0) <= 1e-12
+        assert state.iterations > 0
+
     def test_eps_domain(self):
         with pytest.raises(ValueError):
             gp.solve_ground_state(0.0)

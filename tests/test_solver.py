@@ -144,18 +144,6 @@ class TestMinimize:
         floor = analytic.dip_floor(1.0)
         assert beta1_result.inf_v >= floor - beta1_result.grid.spacing
 
-    def test_monotone_descent_steps(self):
-        g = small_grid()
-        rng = np.random.default_rng(1)
-        pair = random_pair(g, rng)
-        v, phi = pair.v.copy(), pair.phi.copy()
-        h, w = g.spacing, g.trapezoid_weights()
-        energies = [solver._energy(v, phi, 1.0, h, w)]
-        for _ in range(25):
-            v, phi, _, _ = solver._pgd(v, phi, 1.0, h, w, 1e-14, 1, 1e-4, 0.5)
-            energies.append(solver._energy(v, phi, 1.0, h, w))
-        assert np.all(np.diff(energies) <= 1e-15)
-
     def test_translation_gauge(self, beta1_result):
         pair = beta1_result.pair
         v = np.roll(pair.v, 1)
@@ -174,7 +162,7 @@ class TestMinimize:
             solver.solve(-1.0)
 
     def test_nonconvergence_carries_state(self):
-        cfg = solver.SolverConfig(half_width=5.0, spacing=0.05, refine=False,
+        cfg = solver.SolverConfig(half_width=5.0, spacing=0.05,
                                   max_iterations=3, grad_tol=1e-14)
         with pytest.raises(solver.ConvergenceError) as err:
             solver.solve(1.0, cfg)
@@ -216,7 +204,7 @@ class TestAlternatingRefine:
         e_prev = solver._energy(v, phi, beta, h, w)
         for _ in range(6):
             for block in ("phi", "v"):
-                v, phi, _ = solver._newton_block(v, phi, beta, h, w, block, 1e-12, 5, 1e-4, 0.5)
+                v, phi, _ = solver._newton_block(v, phi, beta, h, w, block, 1e-12, 5)
                 e = solver._energy(v, phi, beta, h, w)
                 assert e <= e_prev + 1e-15
                 e_prev = e
@@ -232,15 +220,63 @@ class TestAlternatingRefine:
     def test_multistart_energy_agreement(self):
         beta = 1.0
         g = Grid1D.from_spacing(20.0, 0.01)
-        h, w = g.spacing, g.trapezoid_weights()
         rng = np.random.default_rng(42)
         energies = []
         for _ in range(10):
-            pair = random_pair(g, rng)
-            v, phi, _, _ = solver._pgd(pair.v, pair.phi, beta, h, w, 1e-5, 500, 1e-4, 0.5)
-            refined, _ = solver.alternating_refine(ProfilePair(g, v, phi), beta, grad_tol=1e-8)
+            refined, _ = solver.alternating_refine(random_pair(g, rng), beta, grad_tol=1e-8)
             energies.append(solver.discrete_energy(refined, beta).total)
         assert max(energies) - min(energies) <= 2e-6
+
+
+class TestNewtonKernel:
+    def tridiagonal(self, n, rng):
+        off = -rng.uniform(0.5, 1.0, n - 1)
+        diag = 2.5 + rng.uniform(0.0, 1.0, n)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        return diag, off, dense
+
+    def test_banded_solve_pins_rows_and_shares_columns(self):
+        rng = np.random.default_rng(7)
+        n = 12
+        diag, off, dense = self.tridiagonal(n, rng)
+        fixed = np.zeros(n, dtype=bool)
+        fixed[[0, 5, -1]] = True
+        b1, b2 = rng.normal(size=n), rng.normal(size=n)
+        Z = solver.banded_solve(diag, off, fixed, b1, b2)
+        free = ~fixed
+        assert Z.shape == (n, 2)
+        assert np.all(Z[fixed] == 0.0)
+        for k, b in enumerate((b1, b2)):
+            expected = np.linalg.solve(dense[np.ix_(free, free)], b[free])
+            np.testing.assert_allclose(Z[free, k], expected, rtol=1e-12, atol=1e-14)
+
+    def test_one_step_minimizes_quadratic_with_low_rank_term(self):
+        # E = x^T (T + U U^T) x / 2 - b^T x with the minimizer inside the box:
+        # the Woodbury-corrected Newton step lands on it at once
+        rng = np.random.default_rng(8)
+        n = 15
+        diag, off, dense = self.tridiagonal(n, rng)
+        U = rng.normal(size=(n, 2))
+        fixed = np.zeros(n, dtype=bool)
+        fixed[0] = fixed[-1] = True
+        free = ~fixed
+        A = dense + U @ U.T
+        x_star = np.zeros(n)  # the pinned entries stay at the start value 0
+        x_star[free] = rng.uniform(0.2, 0.8, free.sum())
+        b = A @ x_star
+
+        def energy(x):
+            return 0.5 * x @ A @ x - b @ x
+
+        def curvature(x):
+            return diag, off, np.zeros(n), (U[:, 0], U[:, 1])
+
+        x, steps = solver.projected_newton(
+            np.zeros(n), 0.0, 1.0, fixed, energy, lambda x: A @ x - b, curvature,
+            1e-12, 3,
+        )
+        np.testing.assert_allclose(x, x_star, atol=1e-12)
+        assert steps == 1
 
 
 class TestResiduals:
