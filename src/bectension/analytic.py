@@ -25,9 +25,23 @@ SIGMA_INFINITY = 2.0 * SQRT2 / 3.0
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     return beta
+
+
+def bisect(below, lo: float, hi: float) -> float:
+    """Midpoint of [lo, hi] after halving it down to 1e-12.
+
+    ``below(x)`` is true left of the sought point and false right of it.
+    """
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _check_depth(m: float) -> float:
@@ -109,7 +123,7 @@ def plateau_objective(m: float, beta: float) -> float:
     )
 
 
-def minimize_plateau_objective(beta: float, tol: float = 1e-10) -> tuple[float, float]:
+def minimize_plateau_objective(beta: float) -> tuple[float, float]:
     """Best plateau depth for the given beta: returns (m, objective value).
 
     Unimodality of the objective is not guaranteed, so a 256-point grid scan
@@ -128,7 +142,7 @@ def minimize_plateau_objective(beta: float, tol: float = 1e-10) -> tuple[float, 
     d = a + invphi * (b - a)
     fc = plateau_objective(c, beta)
     fd = plateau_objective(d, beta)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -141,7 +155,7 @@ def minimize_plateau_objective(beta: float, tol: float = 1e-10) -> tuple[float, 
     return m_best, plateau_objective(m_best, beta)
 
 
-def dip_floor(beta: float, tol: float = 1e-12) -> float:
+def dip_floor(beta: float) -> float:
     """Depth below which no profile can be optimal at this beta.
 
     The unique root in (0,1) of m^3/3 - m = min plateau objective; minimizers
@@ -149,19 +163,8 @@ def dip_floor(beta: float, tol: float = 1e-12) -> float:
     """
     beta = _check_beta(beta)
     _, target = minimize_plateau_objective(beta)
-
-    def g(m):
-        return m**3 / 3.0 - m - target
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    # g decreases from ~|target| > 0 down to -2/3 - target < 0.
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # m^3/3 - m - target decreases from ~|target| > 0 down to -2/3 - target < 0.
+    return bisect(lambda m: m**3 / 3.0 - m - target > 0.0, 1e-12, 1.0 - 1e-12)
 
 
 @dataclass(frozen=True)

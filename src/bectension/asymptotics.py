@@ -9,7 +9,7 @@ slope is reported rather than asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -177,25 +177,9 @@ def small_beta_report(table: SweepTable, coeff: float = SMALL_BETA_COEFF) -> Sma
     return SmallBetaReport(ratio_max, fit, ratio_max <= coeff)
 
 
-SWEEP_COLUMNS = [
-    "beta", "sigma", "inf_v", "lower", "upper",
-    "el_res_v", "el_res_phi", "equip_l2", "iters",
-]
+SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 def sweep_csv_rows(table: SweepTable) -> list[dict]:
-    """Rows keyed by the sweep CSV schema, ascending beta."""
-    return [
-        {
-            "beta": r.beta,
-            "sigma": r.sigma,
-            "inf_v": r.inf_v,
-            "lower": r.lower,
-            "upper": r.upper,
-            "el_res_v": r.el_res_v,
-            "el_res_phi": r.el_res_phi,
-            "equip_l2": r.equip_l2,
-            "iters": r.iters,
-        }
-        for r in table.rows
-    ]
+    """Rows keyed by the sweep CSV schema (the fields of SweepRow), ascending beta."""
+    return [asdict(r) for r in table.rows]

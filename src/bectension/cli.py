@@ -168,11 +168,6 @@ def _solver_config(args) -> solver.SolverConfig:
     )
 
 
-def _require_positive_beta(parser, beta: float):
-    if not 0.0 < beta < math.inf:
-        parser.error(f"beta must be positive and finite, got {beta:g}")
-
-
 def _result_row(result: solver.SurfaceTensionResult) -> dict:
     bracket = analytic.sigma_bracket(result.beta)
     return {
@@ -201,7 +196,6 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "bounds":
-            _require_positive_beta(parser, args.beta)
             bracket = analytic.sigma_bracket(args.beta)
             print(f"bracket at beta={args.beta:g}: [{bracket.lower:.12g}, {bracket.upper:.12g}]",
                   file=sys.stderr)
@@ -210,7 +204,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "sigma":
-            _require_positive_beta(parser, args.beta)
             result = solver.solve(args.beta, _solver_config(args))
             print(f"sigma(beta={args.beta:g}) = {result.sigma:.12g} "
                   f"(dip {result.inf_v:.6g} at t={result.argmin_v:.6g}, "
@@ -254,7 +247,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "gamma":
-            _require_positive_beta(parser, args.beta)
             try:
                 eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
             except ValueError:
@@ -269,7 +261,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "profile":
-            _require_positive_beta(parser, args.beta)
             result = solver.solve(args.beta, _solver_config(args))
             dump_profile(result.pair, args.dump)
             print(f"profile for beta={args.beta:g} written to {args.dump} "

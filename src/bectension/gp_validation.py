@@ -2,11 +2,13 @@
 
 Pipeline: solve the single-component ground state eta at healing length eps
 (bordered Newton on the unit L2 sphere), minimize eps times the weighted
-pair energy under the two mass constraints (augmented penalty, alternating
-projected Newton blocks on the banded kernel shared with ``solver``), and
-compare with the limit value sigma(beta) * rho(t0)^(3/2) at the interface
-location t0 fixed by the limit constraint.  The gap must shrink as eps
-decreases.  Each problem keeps its own energy and quadrature.
+pair energy under the two mass constraints (augmented penalty, the
+alternating projected Newton driver of ``solver``), and compare with the
+limit value sigma(beta) * rho(t0)^(3/2) at the interface location t0 fixed
+by the limit constraint.  The gap must shrink as eps decreases.  The
+weighted pair energy is ``solver.PairEnergy`` with eta weights: the
+transition energy behind sigma is its eta = 1, eps = 1 case, with the same
+quadrature.
 
 Everything is one-dimensional with the harmonic trap V(x) = x^2, so the
 Thomas-Fermi cloud is (-lam, lam) with lam = (3/4)^(1/3) and the limit
@@ -16,12 +18,12 @@ energy is a single closed-form number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import analytic, solver, tf_geometry
-from .grid import Grid1D, ProfilePair
+from .grid import Grid1D
 
 TF_LAMBDA = tf_geometry.tf_lambda(1)
 
@@ -142,65 +144,35 @@ def solve_ground_state(eps: float, grid: Grid1D | None = None, tol: float = 1e-9
 # weighted pair energy
 # ---------------------------------------------------------------------------
 
+def _weighted_energy(eta: GroundState, eps: float, beta: float, scale: float = 1.0) -> solver.PairEnergy:
+    """``scale`` times the weighted pair energy: eta weights on eta's grid."""
+    e = eta.values
+    e2 = e * e
+    w = eta.grid.trapezoid_weights()
+    cell = (0.5 * (e[:-1] + e[1:])) ** 2
+    return solver.PairEnergy(beta, eta.grid.spacing, scale * cell, scale * e2,
+                             scale / eps**2 * w * e2 * e2)
+
+
 def weighted_pair_energy(v, phi, eps: float, beta: float, eta: GroundState) -> solver.EnergyBreakdown:
     """Pair energy with ground-state weights:
 
       (1/2) int  eta^2 v'^2 + eta^4 (1-v^2)^2/(2 eps^2)
                  + eta^2 v^2 phi'^2 / 4 + beta eta^4 v^4 sin^2(phi)/(4 eps^2).
 
-    Derivative terms carry squared cell midpoints of the weight fields, which
-    matches the exact discrete product rule used by the decomposition check.
+    The v-kinetic term weighs each cell by the squared midpoint of eta; the
+    phi-kinetic term averages (eta v)^2 over the two nodes of a cell, the
+    rule of the transition energy (see ``solver``).  Neither is the discrete
+    product rule of the decomposition check, whose kinetic terms carry cross
+    terms between neighbouring nodes; that check converges under refinement
+    instead of holding exactly.
     """
     eps = _check_eps(eps)
     v = np.asarray(v, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    e = eta.values
-    if v.shape != e.shape or phi.shape != e.shape:
+    if v.shape != eta.values.shape or phi.shape != eta.values.shape:
         raise ValueError("fields must live on the ground-state grid")
-    h = eta.grid.spacing
-    w = eta.grid.trapezoid_weights()
-    eta_mid = 0.5 * (e[:-1] + e[1:])
-    etav_mid = 0.5 * (e[:-1] * v[:-1] + e[1:] * v[1:])
-    dv = np.diff(v)
-    dphi = np.diff(phi)
-    e4 = e**4
-    kinetic_v = 0.5 * np.sum(eta_mid**2 * dv * dv) / h
-    double_well = h / (4.0 * eps**2) * np.sum(w * e4 * (1.0 - v * v) ** 2)
-    kinetic_phi = 0.125 * np.sum(etav_mid**2 * dphi * dphi) / h
-    coupling = beta * h / (8.0 * eps**2) * np.sum(w * e4 * v**4 * np.sin(phi) ** 2)
-    return solver.EnergyBreakdown(kinetic_v, double_well, kinetic_phi, coupling)
-
-
-def _pair_gradient(v, phi, eps, beta, eta: GroundState):
-    e = eta.values
-    h = eta.grid.spacing
-    w = eta.grid.trapezoid_weights()
-    eta_mid2 = (0.5 * (e[:-1] + e[1:])) ** 2
-    ev = e * v
-    ev_mid = 0.5 * (ev[:-1] + ev[1:])
-    dv = np.diff(v)
-    dphi = np.diff(phi)
-    e4 = e**4
-    sin_phi = np.sin(phi)
-    cos_phi = np.cos(phi)
-
-    gv = np.zeros_like(v)
-    flux_v = eta_mid2 * dv / h
-    gv[:-1] -= flux_v
-    gv[1:] += flux_v
-    gv -= h / eps**2 * w * e4 * (1.0 - v * v) * v
-    # d/dv_i of sum (ev_mid)^2 dphi^2 / (8h): ev_mid couples two cells
-    a = ev_mid * dphi * dphi / (8.0 * h)
-    gv[:-1] += a * e[:-1]
-    gv[1:] += a * e[1:]
-    gv += beta * h / (2.0 * eps**2) * w * e4 * v**3 * sin_phi**2
-
-    gphi = np.zeros_like(phi)
-    flux_p = ev_mid**2 * dphi / (4.0 * h)
-    gphi[:-1] -= flux_p
-    gphi[1:] += flux_p
-    gphi += beta * h / (4.0 * eps**2) * w * e4 * v**4 * sin_phi * cos_phi
-    return gv, gphi
+    return _weighted_energy(eta, eps, beta).terms(v, phi)
 
 
 def decomposition_residual(v, phi, eps: float, beta: float, eta: GroundState) -> float:
@@ -255,11 +227,71 @@ def interface_location(alpha1: float) -> float:
     return tf_geometry._halfline_cut(alpha1, tf_geometry.tf_model(1))
 
 
-def _mass_terms(v, phi, eta: GroundState):
-    h = eta.grid.spacing
-    w = eta.grid.trapezoid_weights()
-    m = h * w * eta.values**2 * v * v
-    return float(np.sum(m)), float(np.sum(m * np.cos(phi)))
+# Augmented-penalty continuation: STAGES stages, the penalty weight starting
+# at MU0 and growing tenfold per stage, MULTIPLIER_UPDATES inner solves per
+# stage; the inner tolerance falls from 1e-4 tenfold per stage to INNER_TOL.
+STAGES = 4
+MU0 = 10.0
+MULTIPLIER_UPDATES = 3
+INNER_TOL = 1e-6
+INNER_STEPS = 1600  # Newton half-steps per inner solve
+V_HI = 1.5          # amplitude box; the mass constraint lets v exceed 1
+
+
+@dataclass(frozen=True)
+class _PenalizedPair:
+    """eps F plus the augmented penalty of the two mass constraints.
+
+    c1 = sum m v^2 - 1 and c2 = sum m v^2 cos(phi) - target2 with
+    m = h w eta^2; the penalty is lam1 c1 + lam2 c2 + (mu/2)(c1^2 + c2^2)
+    at fixed multipliers.  In each block's curvature the multiplier forces
+    q = lam + mu c add q times the constraint Hessians (diagonal), and the
+    rank-one terms mu grad(c) grad(c)^T enter as Woodbury columns.
+    """
+
+    pair: solver.PairEnergy  # eps F
+    mass: np.ndarray
+    target2: float
+    lam1: float
+    lam2: float
+    mu: float
+
+    def constraints(self, v, phi) -> tuple[float, float]:
+        m = self.mass * v * v
+        return float(np.sum(m)) - 1.0, float(np.sum(m * np.cos(phi))) - self.target2
+
+    def energy(self, v, phi) -> float:
+        c1, c2 = self.constraints(v, phi)
+        return (self.pair.energy(v, phi) + self.lam1 * c1 + self.lam2 * c2
+                + 0.5 * self.mu * (c1 * c1 + c2 * c2))
+
+    def _forces(self, v, phi):
+        c1, c2 = self.constraints(v, phi)
+        return self.lam1 + self.mu * c1, self.lam2 + self.mu * c2
+
+    def gradient(self, v, phi, block: str):
+        q1, q2 = self._forces(v, phi)
+        g = self.pair.gradient(v, phi, block)
+        if block == "v":
+            g += 2.0 * self.mass * v * (q1 + q2 * np.cos(phi))
+        else:
+            g -= q2 * self.mass * v * v * np.sin(phi)
+        return g
+
+    def curvature(self, v, phi, block: str):
+        q1, q2 = self._forces(v, phi)
+        kin, off, pot, _ = self.pair.curvature(v, phi, block)
+        root_mu = math.sqrt(self.mu)
+        cos_phi = np.cos(phi)
+        if block == "v":
+            pot += 2.0 * self.mass * (q1 + q2 * cos_phi)
+            mv = 2.0 * root_mu * self.mass * v
+            cols = (mv, mv * cos_phi)
+        else:
+            mv2 = self.mass * v * v
+            pot -= q2 * mv2 * cos_phi
+            cols = (-root_mu * mv2 * np.sin(phi),)
+        return kin, off, pot, cols
 
 
 def minimize_weighted_pair(
@@ -269,10 +301,6 @@ def minimize_weighted_pair(
     sigma: float | None = None,
     eta: GroundState | None = None,
     start: tuple[np.ndarray, np.ndarray] | None = None,
-    stages: int = 4,
-    mu0: float = 10.0,
-    multiplier_updates: int = 3,
-    inner_tol: float = 1e-6,
 ) -> GammaRow:
     """Minimize eps * F under both mass constraints; report the limit gap.
 
@@ -280,13 +308,12 @@ def minimize_weighted_pair(
     continuation: the quadratic weight grows tenfold per stage while the
     linear multipliers absorb the constraint forces, so the final mass
     residuals drop below 1e-6 without an ill-conditioned penalty.  Each
-    inner minimization alternates projected Newton blocks on phi and on v
-    (the kernel of ``solver.projected_newton``), the penalty curvature
-    entering each block as low-rank columns.
+    inner minimization is ``solver.alternating_newton`` on
+    ``_PenalizedPair``, the penalty curvature entering each block as
+    low-rank columns.
     """
     eps = _check_eps(eps)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    beta = analytic._check_beta(beta)
     alpha2 = 1.0 - alpha1
     if eta is None:
         eta = solve_ground_state(eps)
@@ -294,12 +321,7 @@ def minimize_weighted_pair(
         sigma = solver.solve(beta).sigma
     grid = eta.grid
     x = grid.nodes
-    h = grid.spacing
-    w = grid.trapezoid_weights()
-    e = eta.values
-    e2 = e**2
-    e4 = e**4
-    eta_mid2 = (0.5 * (e[:-1] + e[1:])) ** 2
+    mass = grid.spacing * grid.trapezoid_weights() * eta.values**2
 
     t0 = interface_location(alpha1)
     rho0 = max(TF_LAMBDA**2 - t0 * t0, 0.0)
@@ -315,13 +337,7 @@ def minimize_weighted_pair(
         phi = np.clip(0.5 * math.pi * (arg / max(T, 1e-12) + 1.0), 0.0, math.pi)
     else:
         v, phi = start[0].copy(), start[1].copy()
-    mass = h * float(np.sum(w * e2 * v * v))
-    v = v / math.sqrt(mass)
-
-    target2 = alpha1 - alpha2
-    lam1 = lam2 = 0.0
-    mu = mu0
-    v_hi = 1.5
+    v = v / math.sqrt(float(np.sum(mass * v * v)))
 
     # Outside the cloud plus a margin every energy weight has decayed below
     # double-precision relevance; freezing the fields there removes a large
@@ -329,112 +345,27 @@ def minimize_weighted_pair(
     frozen = np.abs(x) > TF_LAMBDA + 0.35
     frozen[0] = frozen[-1] = True
 
-    def constraints(v, phi):
-        c1, c2 = _mass_terms(v, phi, eta)
-        return c1 - 1.0, c2 - target2
-
-    def objective(v, phi):
-        c1, c2 = constraints(v, phi)
-        f = weighted_pair_energy(v, phi, eps, beta, eta).total
-        return eps * f + lam1 * c1 + lam2 * c2 + 0.5 * mu * (c1 * c1 + c2 * c2)
-
-    def gradient(v, phi):
-        fv, fphi = _pair_gradient(v, phi, eps, beta, eta)
-        c1, c2 = constraints(v, phi)
-        q1 = lam1 + mu * c1
-        q2 = lam2 + mu * c2
-        gv = eps * fv + 2.0 * h * w * e2 * v * (q1 + q2 * np.cos(phi))
-        gphi = eps * fphi - h * w * e2 * v * v * np.sin(phi) * q2
-        gv[frozen] = 0.0
-        gphi[frozen] = 0.0
-        return gv, gphi
-
-    def pg_norm(v, phi):
-        gv, gphi = gradient(v, phi)
-        return max(np.abs(solver._projected(v, gv, 0.0, v_hi)).max(),
-                   np.abs(solver._projected(phi, gphi, 0.0, np.pi)).max())
-
-    def curvature(v, phi, which):
-        """Tridiagonal model of one block; the penalty adds the columns
-        sqrt(mu) * grad(c) as a low-rank term."""
-        c1, c2 = constraints(v, phi)
-        q1 = lam1 + mu * c1
-        q2 = lam2 + mu * c2
-        cos_phi = np.cos(phi)
-        sin_phi = np.sin(phi)
-        kin = np.zeros(v.size)
-        if which == "v":
-            dphi2 = np.diff(phi) ** 2
-            kin[:-1] += eta_mid2 / h
-            kin[1:] += eta_mid2 / h
-            off = -eta_mid2 / h
-            # angle-kinetic curvature in v: per-cell squared linear form
-            a = e2 / (16.0 * h)
-            kin[:-1] += a[:-1] * dphi2
-            kin[1:] += a[1:] * dphi2
-            off = off + (e[:-1] * e[1:]) * dphi2 / (16.0 * h)
-            pot = eps * (
-                h / eps**2 * w * e4 * (3.0 * v * v - 1.0)
-                + 1.5 * beta * h / eps**2 * w * e4 * v * v * sin_phi**2
-            )
-            pot += 2.0 * h * w * e2 * (q1 + q2 * cos_phi)
-            cols = (
-                math.sqrt(mu) * 2.0 * h * w * e2 * v,
-                math.sqrt(mu) * 2.0 * h * w * e2 * v * cos_phi,
-            )
-        else:
-            ev = e * v
-            a = (0.5 * (ev[:-1] + ev[1:])) ** 2 / (4.0 * h)
-            kin[:-1] += a
-            kin[1:] += a
-            off = -a
-            pot = eps * (beta * h / (4.0 * eps**2) * w * e4 * v**4 * np.cos(2.0 * phi))
-            pot -= q2 * h * w * e2 * v * v * cos_phi
-            cols = (-math.sqrt(mu) * h * w * e2 * v * v * sin_phi,)
-        return eps * kin, eps * off, pot, cols
-
-    def newton_block(v, phi, which, tol, max_steps):
-        if which == "v":
-            v, _ = solver.projected_newton(
-                v, 0.0, v_hi, frozen,
-                lambda x: objective(x, phi), lambda x: gradient(x, phi)[0],
-                lambda x: curvature(x, phi, "v"), tol, max_steps,
-            )
-        else:
-            phi, _ = solver.projected_newton(
-                phi, 0.0, np.pi, frozen,
-                lambda x: objective(v, x), lambda x: gradient(v, x)[1],
-                lambda x: curvature(v, x, "phi"), tol, max_steps,
-            )
-        return v, phi
-
-    def inner_minimize(v, phi, tol):
-        for _ in range(40):
-            v, phi = newton_block(v, phi, "phi", 0.5 * tol, 20)
-            v, phi = newton_block(v, phi, "v", 0.5 * tol, 20)
-            if pg_norm(v, phi) <= tol:
-                break
-        return v, phi
-
-    for stage in range(stages):
-        tol_stage = max(inner_tol, 1e-4 * 10.0 ** (-stage))
-        for _ in range(multiplier_updates):
-            v, phi = inner_minimize(v, phi, tol_stage)
-            c1, c2 = constraints(v, phi)
-            lam1 += mu * c1
-            lam2 += mu * c2
-        mu *= 10.0
+    problem = _PenalizedPair(_weighted_energy(eta, eps, beta, scale=eps), mass,
+                             alpha1 - alpha2, 0.0, 0.0, MU0)
+    for stage in range(STAGES):
+        tol = max(INNER_TOL, 1e-4 * 10.0 ** (-stage))
+        for _ in range(MULTIPLIER_UPDATES):
+            v, phi, _ = solver.alternating_newton(problem, v, phi, frozen, V_HI, tol, INNER_STEPS)
+            c1, c2 = problem.constraints(v, phi)
+            problem = replace(problem, lam1=problem.lam1 + problem.mu * c1,
+                              lam2=problem.lam2 + problem.mu * c2)
+        problem = replace(problem, mu=10.0 * problem.mu)
 
     scaled = eps * weighted_pair_energy(v, phi, eps, beta, eta).total
-    c1, c2 = _mass_terms(v, phi, eta)
+    c1, c2 = problem.constraints(v, phi)
     return GammaRow(
         eps=eps,
         beta=beta,
         scaled_energy=scaled,
         limit_energy=limit_energy,
         gap=scaled - limit_energy,
-        mass_res_1=abs(c1 - 1.0),
-        mass_res_2=abs(c2 - target2),
+        mass_res_1=abs(c1),
+        mass_res_2=abs(c2),
         v=v,
         phi=phi,
         eta=eta,
@@ -446,7 +377,6 @@ def gamma_table(
     beta: float,
     alpha1: float = 0.5,
     sigma: float | None = None,
-    **kwargs,
 ) -> list[GammaRow]:
     """One constrained solve per eps, warm-started from the previous row.
 
@@ -471,24 +401,12 @@ def gamma_table(
                 np.interp(x_new, x_old, prev.v),
                 np.interp(x_new, x_old, prev.phi),
             )
-        row = minimize_weighted_pair(
-            eps, beta, alpha1=alpha1, sigma=sigma, eta=eta, start=start, **kwargs
-        )
+        row = minimize_weighted_pair(eps, beta, alpha1=alpha1, sigma=sigma, eta=eta, start=start)
         rows.append(row)
         prev = row
     return rows
 
 
 def gamma_csv_rows(rows) -> list[dict]:
-    return [
-        {
-            "eps": r.eps,
-            "beta": r.beta,
-            "scaled_energy": r.scaled_energy,
-            "limit_energy": r.limit_energy,
-            "gap": r.gap,
-            "mass_res_1": r.mass_res_1,
-            "mass_res_2": r.mass_res_2,
-        }
-        for r in rows
-    ]
+    """The scalar fields of each row in field order; the profiles are left out."""
+    return [{f.name: getattr(r, f.name) for f in fields(GammaRow) if f.repr} for r in rows]

@@ -5,9 +5,10 @@ The energy of a pair (v, phi) on a truncated grid is
     (1/2) int  v'^2 + W(v) + (1/4) v^2 phi'^2 + (beta/4) v^4 sin^2(phi),
     W(v) = (1/2)(1 - v^2)^2,
 
-with v in [0,1], phi in [0,pi], v(+-L)=1, phi(-L)=0, phi(L)=pi.
-Derivatives are forward differences on cells, potentials trapezoid sums;
-the gradient below is the exact gradient of that discrete functional.
+with v in [0,1], phi in [0,pi], v(+-L)=1, phi(-L)=0, phi(L)=pi.  It is the
+unit-weight case of ``PairEnergy``, whose ground-state-weighted case
+``gp_validation`` minimizes; the gradient and the block curvature there are
+exact for the discrete functional.
 
 The minimizer starts from the optimal plateau test pair and alternates two
 blocks of damped projected Newton: on phi at fixed v and on v at fixed phi,
@@ -15,8 +16,7 @@ each a strictly convex subproblem after the classical substitutions sin(phi)
 and v^2.  Every Newton step solves one banded system (boundary rows pinned)
 and backtracks along the projected arc, falling back to -P grad E when the
 Newton direction does not descend; energy never increases across a
-half-step.  ``banded_solve`` and ``projected_newton`` are the kernel the
-constrained pair solve of ``gp_validation`` shares.
+half-step.  ``alternating_newton`` is the driver both problems share.
 """
 
 from __future__ import annotations
@@ -94,75 +94,116 @@ def default_grid(beta: float) -> Grid1D:
 
 
 # ---------------------------------------------------------------------------
-# discrete energy and its exact gradient
+# weighted pair energy, its exact gradient and block curvature
 # ---------------------------------------------------------------------------
 
-def _energy_terms(v, phi, beta, h, w):
-    dv = np.diff(v)
-    dphi = np.diff(phi)
-    v2 = v * v
-    s2 = np.sin(phi) ** 2
-    e_kv = dv @ dv / (2.0 * h)
-    e_dw = 0.25 * h * np.sum(w * (1.0 - v2) ** 2)
-    e_kphi = np.sum((v2[:-1] + v2[1:]) * dphi * dphi) / (16.0 * h)
-    e_coup = beta * h / 8.0 * np.sum(w * v2 * v2 * s2)
-    return e_kv, e_dw, e_kphi, e_coup
+@dataclass(frozen=True)
+class PairEnergy:
+    """The weighted pair energy at coupling ``beta`` on a grid of spacing ``h``:
 
+        sum_cells  c dv^2 / (2h) + (n_i v_i^2 + n_{i+1} v_{i+1}^2) dphi^2 / (16h)
+      + sum_nodes  h p ((1 - v^2)^2 / 4 + (beta/8) v^4 sin^2(phi))
 
-def _energy(v, phi, beta, h, w) -> float:
-    e_kv, e_dw, e_kphi, e_coup = _energy_terms(v, phi, beta, h, w)
-    return e_kv + e_dw + e_kphi + e_coup
+    with cell weights c = ``cell``, node weights n = ``node`` and potential
+    weights p = ``pot``.  ``unit`` (c = n = 1, p = trapezoid weights) gives
+    the transition energy.  Averaging n v^2 over the two nodes of a cell
+    keeps the energy linear in v^2 node by node.
+    """
 
+    beta: float
+    h: float
+    cell: np.ndarray
+    node: np.ndarray
+    pot: np.ndarray
 
-def _gradient(v, phi, beta, h, w):
-    dv = np.diff(v)
-    dphi = np.diff(phi)
-    v2 = v * v
-    sin_phi = np.sin(phi)
-    cos_phi = np.cos(phi)
+    @classmethod
+    def unit(cls, beta: float, grid: Grid1D) -> "PairEnergy":
+        n = grid.n_points
+        return cls(beta, grid.spacing, np.ones(n - 1), np.ones(n), grid.trapezoid_weights())
 
-    gv = np.zeros_like(v)
-    gv[:-1] -= dv / h
-    gv[1:] += dv / h
-    gv -= h * w * v * (1.0 - v2)
-    dphi2 = dphi * dphi
-    gv[:-1] += v[:-1] * dphi2 / (8.0 * h)
-    gv[1:] += v[1:] * dphi2 / (8.0 * h)
-    gv += 0.5 * beta * h * w * v * v2 * sin_phi * sin_phi
+    def terms(self, v, phi) -> EnergyBreakdown:
+        h = self.h
+        dv = np.diff(v)
+        dphi = np.diff(phi)
+        v2 = v * v
+        nv2 = self.node * v2
+        return EnergyBreakdown(
+            (self.cell * dv) @ dv / (2.0 * h),
+            0.25 * h * np.sum(self.pot * (1.0 - v2) ** 2),
+            np.sum((nv2[:-1] + nv2[1:]) * dphi * dphi) / (16.0 * h),
+            self.beta * h / 8.0 * np.sum(self.pot * v2 * v2 * np.sin(phi) ** 2),
+        )
 
-    gphi = np.zeros_like(phi)
-    flux = (v2[:-1] + v2[1:]) * dphi / (8.0 * h)
-    gphi[:-1] -= flux
-    gphi[1:] += flux
-    gphi += 0.25 * beta * h * w * v2 * v2 * sin_phi * cos_phi
-    return gv, gphi
+    def energy(self, v, phi) -> float:
+        return self.terms(v, phi).total
+
+    def gradient(self, v, phi, block: str):
+        """Exact gradient of one block (``"v"`` or ``"phi"``), pinned rows included."""
+        h, beta, pot = self.h, self.beta, self.pot
+        dphi = np.diff(phi)
+        v2 = v * v
+        sin_phi = np.sin(phi)
+        g = np.zeros_like(v)
+        if block == "v":
+            flux = self.cell * np.diff(v) / h
+            g[:-1] -= flux
+            g[1:] += flux
+            g -= h * pot * v * (1.0 - v2)
+            nv = self.node * v
+            dphi2 = dphi * dphi
+            g[:-1] += nv[:-1] * dphi2 / (8.0 * h)
+            g[1:] += nv[1:] * dphi2 / (8.0 * h)
+            g += 0.5 * beta * h * pot * v * v2 * sin_phi * sin_phi
+        else:
+            nv2 = self.node * v2
+            flux = (nv2[:-1] + nv2[1:]) * dphi / (8.0 * h)
+            g[:-1] -= flux
+            g[1:] += flux
+            g += 0.25 * beta * h * pot * v2 * v2 * sin_phi * np.cos(phi)
+        return g
+
+    def curvature(self, v, phi, block: str):
+        """Exact Hessian of one block as the kernel's model ``(kin, off, pot, ())``.
+
+        Diagonal ``kin + pot``, off-diagonal ``off``.  The energy couples
+        neighbouring nodes of one field only through that field's kinetic
+        term, so the block Hessian is tridiagonal; ``pot`` holds every
+        diagonal term that can turn negative, for the kernel's shift.
+        """
+        h, beta = self.h, self.beta
+        v2 = v * v
+        kin = np.zeros(v.size)
+        if block == "v":
+            a = self.cell / h
+            pot = h * self.pot * (3.0 * v2 - 1.0)
+            b = np.diff(phi) ** 2 / (8.0 * h)
+            pot[:-1] += self.node[:-1] * b
+            pot[1:] += self.node[1:] * b
+            pot += 1.5 * beta * h * self.pot * v2 * np.sin(phi) ** 2
+        else:
+            nv2 = self.node * v2
+            a = (nv2[:-1] + nv2[1:]) / (8.0 * h)
+            pot = 0.25 * beta * h * self.pot * v2 * v2 * np.cos(2.0 * phi)
+        kin[:-1] += a
+        kin[1:] += a
+        return kin, -a, pot, ()
 
 
 def discrete_energy(pair: ProfilePair, beta: float) -> EnergyBreakdown:
     """Energy terms of the pair; exact for the stated quadrature."""
-    beta = _check_beta(beta)
-    grid = pair.grid
-    e_kv, e_dw, e_kphi, e_coup = _energy_terms(
-        pair.v, pair.phi, beta, grid.spacing, grid.trapezoid_weights()
-    )
-    return EnergyBreakdown(e_kv, e_dw, e_kphi, e_coup)
+    beta = analytic._check_beta(beta)
+    return PairEnergy.unit(beta, pair.grid).terms(pair.v, pair.phi)
 
 
 def discrete_gradient(pair: ProfilePair, beta: float):
     """Exact gradient of the discrete energy; pinned boundary entries are zero."""
-    beta = _check_beta(beta)
-    grid = pair.grid
-    gv, gphi = _gradient(pair.v, pair.phi, beta, grid.spacing, grid.trapezoid_weights())
+    beta = analytic._check_beta(beta)
+    energy = PairEnergy.unit(beta, pair.grid)
+    gv = energy.gradient(pair.v, pair.phi, "v")
+    gphi = energy.gradient(pair.v, pair.phi, "phi")
     gv[0] = gv[-1] = 0.0
     gphi[0] = gphi[-1] = 0.0
     return gv, gphi
-
-
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    return beta
 
 
 def _projected(x, g, lo, hi):
@@ -170,8 +211,8 @@ def _projected(x, g, lo, hi):
     return np.where(x <= lo, np.minimum(g, 0.0), np.where(x >= hi, np.maximum(g, 0.0), g))
 
 
-def _projected_gradient_norm(v, phi, gv, gphi) -> float:
-    return max(np.abs(_projected(v, gv, 0.0, 1.0)).max(),
+def _projected_gradient_norm(v, phi, gv, gphi, v_hi: float = 1.0) -> float:
+    return max(np.abs(_projected(v, gv, 0.0, v_hi)).max(),
                np.abs(_projected(phi, gphi, 0.0, np.pi)).max())
 
 
@@ -249,50 +290,46 @@ def projected_newton(x, lo, hi, fixed, energy, gradient, curvature, tol, max_ste
 # alternating convex refinement
 # ---------------------------------------------------------------------------
 
-def _newton_block(v, phi, beta, h, w, which, tol, max_steps):
-    """Projected Newton on one field at the other fixed; returns (v, phi, steps).
+BLOCK_STEPS = 40  # Newton steps per block and round
 
-    The subproblem is strictly convex after the substitutions sin(phi)
-    (angle block) and v^2 (amplitude block); the iteration runs in the
-    original variables on the shifted tridiagonal model of the kernel.
+
+def alternating_newton(problem, v, phi, fixed, v_hi, tol, max_steps):
+    """Alternate projected Newton on phi at fixed v and on v at fixed phi.
+
+    ``problem`` supplies ``energy(v, phi)`` and, per block ``"v"`` or
+    ``"phi"``, ``gradient(v, phi, block)`` and ``curvature(v, phi, block)``,
+    the latter returning the model ``(kin, off, pot, cols)`` that
+    ``projected_newton`` takes.  The boxes are [0, v_hi] and [0, pi];
+    rows in ``fixed`` never move.  Each block takes at most BLOCK_STEPS
+    steps towards a quarter of ``tol``.  The rounds stop when the max-norm of
+    the projected gradient reaches ``tol``, when neither block moves, or when
+    ``max_steps`` half-steps are spent.  Returns (v, phi, half_steps).
     """
-    n = v.size
-    fixed = np.zeros(n, dtype=bool)
-    fixed[0] = fixed[-1] = True
-    if which == "v":
-        dphi2 = np.diff(phi) ** 2
-        s2 = np.sin(phi) ** 2
-
-        def curvature(x):
-            x2 = x * x
-            pot = h * w * (3.0 * x2 - 1.0)
-            pot[:-1] += dphi2 / (8.0 * h)
-            pot[1:] += dphi2 / (8.0 * h)
-            pot += 1.5 * beta * h * w * x2 * s2
-            return np.full(n, 2.0 / h), np.full(n - 1, -1.0 / h), pot, ()
-
-        v, steps = projected_newton(
-            v, 0.0, 1.0, fixed,
-            lambda x: _energy(x, phi, beta, h, w),
-            lambda x: _gradient(x, phi, beta, h, w)[0],
-            curvature, tol, max_steps,
-        )
-    else:
-        v2 = v * v
-        a = (v2[:-1] + v2[1:]) / (8.0 * h)
-        kin = np.zeros(n)
-        kin[:-1] += a
-        kin[1:] += a
-
-        def curvature(x):
-            return kin, -a, 0.25 * beta * h * w * v2 * v2 * np.cos(2.0 * x), ()
-
-        phi, steps = projected_newton(
+    block_tol = 0.25 * tol
+    steps = 0
+    while steps < max_steps:
+        phi, s_phi = projected_newton(
             phi, 0.0, np.pi, fixed,
-            lambda x: _energy(v, x, beta, h, w),
-            lambda x: _gradient(v, x, beta, h, w)[1],
-            curvature, tol, max_steps,
+            lambda x: problem.energy(v, x),
+            lambda x: problem.gradient(v, x, "phi"),
+            lambda x: problem.curvature(v, x, "phi"),
+            block_tol, min(BLOCK_STEPS, max_steps - steps),
         )
+        steps += s_phi
+        v, s_v = projected_newton(
+            v, 0.0, v_hi, fixed,
+            lambda x: problem.energy(x, phi),
+            lambda x: problem.gradient(x, phi, "v"),
+            lambda x: problem.curvature(x, phi, "v"),
+            block_tol, min(BLOCK_STEPS, max_steps - steps),
+        )
+        steps += s_v
+        gv = np.where(fixed, 0.0, problem.gradient(v, phi, "v"))
+        gphi = np.where(fixed, 0.0, problem.gradient(v, phi, "phi"))
+        if _projected_gradient_norm(v, phi, gv, gphi, v_hi) <= tol:
+            break
+        if s_phi == 0 and s_v == 0:
+            break
     return v, phi, steps
 
 
@@ -308,29 +345,17 @@ def alternating_refine(
     most ``max_steps``.  Refuses pairs whose amplitude touches 0 (the angle
     substitution degenerates there).
     """
-    beta = _check_beta(beta)
+    beta = analytic._check_beta(beta)
     if pair.v.min() <= 0.0:
         raise ValueError("v touches 0; refine is only valid for v bounded away from 0")
     grid = pair.grid
-    h, w = grid.spacing, grid.trapezoid_weights()
-    v, phi = pair.v.copy(), pair.phi.copy()
-    block_tol = 0.25 * grad_tol
-    total_steps = 0
-    while total_steps < max_steps:
-        v, phi, s1 = _newton_block(v, phi, beta, h, w, "phi", block_tol,
-                                   min(40, max_steps - total_steps))
-        total_steps += s1
-        v, phi, s2 = _newton_block(v, phi, beta, h, w, "v", block_tol,
-                                   min(40, max_steps - total_steps))
-        total_steps += s2
-        gv, gphi = _gradient(v, phi, beta, h, w)
-        gv[0] = gv[-1] = 0.0
-        gphi[0] = gphi[-1] = 0.0
-        if _projected_gradient_norm(v, phi, gv, gphi) <= grad_tol:
-            break
-        if s1 == 0 and s2 == 0:
-            break
-    return ProfilePair(grid, v, phi), total_steps
+    fixed = np.zeros(grid.n_points, dtype=bool)
+    fixed[0] = fixed[-1] = True
+    v, phi, steps = alternating_newton(
+        PairEnergy.unit(beta, grid), pair.v.copy(), pair.phi.copy(), fixed, 1.0,
+        grad_tol, max_steps,
+    )
+    return ProfilePair(grid, v, phi), steps
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +368,7 @@ def el_residual(pair: ProfilePair, beta: float) -> tuple[float, float]:
       -v'' - (1-v^2) v + (1/4) v phi'^2 + (beta/2) v^3 sin^2(phi) = 0
       -(v^2 phi')' + beta v^4 sin(phi) cos(phi) = 0
     """
-    beta = _check_beta(beta)
+    beta = analytic._check_beta(beta)
     v, phi, h = pair.v, pair.phi, pair.grid.spacing
     v_i = v[1:-1]
     phi_i = phi[1:-1]
@@ -368,7 +393,7 @@ def equipartition_residual(pair: ProfilePair, beta: float) -> float:
     Derivatives follow the module policy (forward differences), so the
     residual of a converged minimizer is first order in the spacing.
     """
-    beta = _check_beta(beta)
+    beta = analytic._check_beta(beta)
     v, phi, h = pair.v, pair.phi, pair.grid.spacing
     dv = np.diff(v) / h
     dphi = np.diff(phi) / h
@@ -437,51 +462,31 @@ def diagnostics(pair: ProfilePair) -> PairDiagnostics:
     )
 
 
-def _cell_energies(pair: ProfilePair, beta: float) -> np.ndarray:
-    """Energy attributed to each cell (trapezoid potentials split per cell)."""
-    v, phi, h = pair.v, pair.phi, pair.grid.spacing
-    dv = np.diff(v)
-    dphi = np.diff(phi)
-    v2 = v * v
-    pot = 0.25 * (1.0 - v2) ** 2 + beta / 8.0 * v2 * v2 * np.sin(phi) ** 2
-    return (
-        dv * dv / (2.0 * h)
-        + (v2[:-1] + v2[1:]) * dphi * dphi / (16.0 * h)
-        + 0.5 * h * (pot[:-1] + pot[1:])
-    )
-
-
 def symmetrize(pair: ProfilePair, beta: float = 1.0) -> ProfilePair:
-    """Reflect the cheaper half of the pair across its pi/2 crossing.
+    """Reflect each half of the pair across its pi/2 crossing; keep the cheaper.
 
     The output is centered: v is even and phi(-t) = pi - phi(t), with the
-    crossing moved to t=0.  Its energy is at most the input energy up to the
-    interpolation error O(h).
+    crossing moved to t=0.  Its energy at ``beta`` is at most the input
+    energy up to the interpolation error O(h).
     """
     grid = pair.grid
     tc = _crossing(pair)
-    cells = _cell_energies(pair, beta)
     t = grid.nodes
-    left_frac = np.clip((tc - t[:-1]) / grid.spacing, 0.0, 1.0)
-    e_left = float(np.sum(cells * left_frac))
-    e_right = float(np.sum(cells * (1.0 - left_frac)))
-    use_left = e_left <= e_right
-
-    s = t  # centered coordinate of the output
-    if use_left:
-        v_half = np.interp(tc - np.abs(s), t, pair.v)
-        phi_half = np.interp(tc - np.abs(s), t, pair.phi)
-    else:
-        v_half = np.interp(tc + np.abs(s), t, pair.v)
-        phi_half = np.pi - np.interp(tc + np.abs(s), t, pair.phi)
-    v_out = v_half
-    phi_out = np.where(s <= 0.0, phi_half, np.pi - phi_half)
-    # The center node sits exactly on the crossing.
-    mid = grid.n_points // 2
-    phi_out[mid] = 0.5 * np.pi
-    v_out[0] = v_out[-1] = 1.0
-    phi_out[0], phi_out[-1] = 0.0, np.pi
-    return ProfilePair(grid, np.clip(v_out, 0.0, 1.0), np.clip(phi_out, 0.0, np.pi))
+    reflections = []
+    for side in (-1.0, 1.0):  # the left half first, so it wins a tie
+        source = tc + side * np.abs(t)
+        v_out = np.interp(source, t, pair.v)
+        phi_left = np.interp(source, t, pair.phi)
+        if side > 0.0:
+            phi_left = np.pi - phi_left
+        phi_out = np.where(t <= 0.0, phi_left, np.pi - phi_left)
+        # The center node sits exactly on the crossing.
+        phi_out[grid.n_points // 2] = 0.5 * np.pi
+        v_out[0] = v_out[-1] = 1.0
+        phi_out[0], phi_out[-1] = 0.0, np.pi
+        reflections.append(
+            ProfilePair(grid, np.clip(v_out, 0.0, 1.0), np.clip(phi_out, 0.0, np.pi)))
+    return min(reflections, key=lambda r: discrete_energy(r, beta).total)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +520,7 @@ def _result_from_pair(pair, beta, iterations) -> SurfaceTensionResult:
 
 def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResult:
     """Minimize the transition energy at fixed beta and report diagnostics."""
-    beta = _check_beta(beta)
+    beta = analytic._check_beta(beta)
     config = config or SolverConfig()
 
     if config.n_points is not None or config.half_width is not None or config.spacing is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-SIGMA_INFINITY = 2.0 * math.sqrt(2.0) / 3.0
+from .analytic import SIGMA_INFINITY, bisect
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -88,7 +88,7 @@ class RadialSplit:
     radius: float
 
 
-def radius_for_mass(alpha: float, model: TFModel, tol: float = 1e-12) -> RadialSplit:
+def radius_for_mass(alpha: float, model: TFModel) -> RadialSplit:
     """Normalized radius whose centered ball carries mass alpha (bisection)."""
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
@@ -97,14 +97,7 @@ def radius_for_mass(alpha: float, model: TFModel, tol: float = 1e-12) -> RadialS
         return RadialSplit(alpha, 0.0)
     if alpha == 1.0:
         return RadialSplit(alpha, 1.0)
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ball_mass(mid, model) < alpha:
-            lo = mid
-        else:
-            hi = mid
-    return RadialSplit(alpha, 0.5 * (lo + hi))
+    return RadialSplit(alpha, bisect(lambda R: ball_mass(R, model) < alpha, 0.0, 1.0))
 
 
 def radial_energy(alpha: float, model: TFModel) -> float:
@@ -162,24 +155,17 @@ def concavity_report(model: TFModel, n_grid: int = 128) -> ConcavityReport:
     return ConcavityReport(max_d2, max_closed, max_d2 < 0.0 and max_closed < 0.0)
 
 
-def _halfline_cut(alpha: float, model: TFModel, tol: float = 1e-12) -> float:
+def _halfline_cut(alpha: float, model: TFModel) -> float:
     """n=1: the point t with mass alpha to its left; root of a cubic by bisection."""
     lam = model.lam
 
     def mass(t):
         return lam**2 * t - t**3 / 3.0 + 2.0 * lam**3 / 3.0
 
-    lo, hi = -lam, lam
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mass(mid) < alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda t: mass(t) < alpha, -lam, lam)
 
 
-def _chord_offset(alpha: float, model: TFModel, tol: float = 1e-12) -> float:
+def _chord_offset(alpha: float, model: TFModel) -> float:
     """n=2: offset d of the vertical chord with mass alpha on {x < d}."""
     lam = model.lam
 
@@ -189,14 +175,7 @@ def _chord_offset(alpha: float, model: TFModel, tol: float = 1e-12) -> float:
                       epsabs=1e-13, epsrel=1e-13)
         return val
 
-    lo, hi = -lam, lam
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mass(mid) < alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda d: mass(d) < alpha, -lam, lam)
 
 
 def nonradial_candidate_energy(alpha: float, model: TFModel) -> float:

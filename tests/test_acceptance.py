@@ -129,9 +129,9 @@ def test_10_gradient_oracle():
     rng = np.random.default_rng(2024)
     g = small_grid()
     h_fd = 1e-6
-    w = g.trapezoid_weights()
     worst = 0.0
     for beta in (0.1, 1.0, 100.0):
+        energy = solver.PairEnergy.unit(beta, g)
         for _ in range(5):
             pair = random_pair(g, rng)
             gv, gphi = solver.discrete_gradient(pair, beta)
@@ -140,9 +140,9 @@ def test_10_gradient_oracle():
                 for field, grad in ((pair.v, gv), (pair.phi, gphi)):
                     orig = field[i]
                     field[i] = orig + h_fd
-                    ep = solver._energy(pair.v, pair.phi, beta, g.spacing, w)
+                    ep = energy.energy(pair.v, pair.phi)
                     field[i] = orig - h_fd
-                    em = solver._energy(pair.v, pair.phi, beta, g.spacing, w)
+                    em = energy.energy(pair.v, pair.phi)
                     field[i] = orig
                     worst = max(worst, abs(grad[i] - (ep - em) / (2.0 * h_fd)) / scale)
     verdict(10, "gradient oracle", worst <= 1e-6,

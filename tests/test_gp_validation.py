@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bectension import analytic, solver
 from bectension import gp_validation as gp
-from bectension import solver
 from bectension.grid import Grid1D
 
 SIGMA_BETA_ONE = 0.3874873242966853  # frozen default-grid value, see test_solver
@@ -96,6 +96,64 @@ class TestWeightedPairEnergy:
     def test_grid_mismatch(self, eta_005):
         with pytest.raises(ValueError):
             gp.weighted_pair_energy(np.ones(10), np.zeros(10), 0.05, 1.0, eta_005)
+
+
+class TestWeightedPairDerivatives:
+    """Finite-difference oracle for the eta-weighted pair energy at eps = 0.05."""
+
+    EPS = 0.05
+    H_FD = 1e-6
+
+    def fields(self, eta):
+        x = eta.grid.nodes
+        v = 1.0 - 0.5 * np.exp(-((x / (3.0 * self.EPS)) ** 2)) + 0.05 * np.sin(7.0 * x)
+        phi = 0.5 * np.pi * (1.0 + np.tanh(x / (3.0 * self.EPS)))
+        return {"v": v, "phi": phi}
+
+    def probe_nodes(self, eta):
+        """Every other node of the interface layer, where all terms are active."""
+        return np.flatnonzero(np.abs(eta.grid.nodes) <= 6.0 * self.EPS)[::2]
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
+    def test_gradient_matches_central_differences(self, eta_005, beta):
+        energy = gp._weighted_energy(eta_005, self.EPS, beta)
+        f = self.fields(eta_005)
+        assert energy.energy(f["v"], f["phi"]) == gp.weighted_pair_energy(
+            f["v"], f["phi"], self.EPS, beta, eta_005).total
+        grad = {b: energy.gradient(f["v"], f["phi"], b) for b in f}
+        scale = max(np.abs(g).max() for g in grad.values())
+        for block, field in f.items():
+            for i in self.probe_nodes(eta_005):
+                orig = field[i]
+                field[i] = orig + self.H_FD
+                ep = energy.energy(f["v"], f["phi"])
+                field[i] = orig - self.H_FD
+                em = energy.energy(f["v"], f["phi"])
+                field[i] = orig
+                assert abs(grad[block][i] - (ep - em) / (2.0 * self.H_FD)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
+    def test_block_model_is_the_block_hessian(self, eta_005, beta):
+        # the unshifted model (kin + pot on the diagonal, off beside it) is
+        # the exact Hessian of each block, which is tridiagonal
+        energy = gp._weighted_energy(eta_005, self.EPS, beta)
+        f = self.fields(eta_005)
+        for block, field in f.items():
+            kin, off, pot, cols = energy.curvature(f["v"], f["phi"], block)
+            assert cols == ()
+            diag = kin + pot
+            scale = max(np.abs(diag).max(), np.abs(off).max())
+            for j in self.probe_nodes(eta_005):
+                orig = field[j]
+                field[j] = orig + self.H_FD
+                gp_ = energy.gradient(f["v"], f["phi"], block)
+                field[j] = orig - self.H_FD
+                gm = energy.gradient(f["v"], f["phi"], block)
+                field[j] = orig
+                model = np.zeros(field.size)
+                model[j - 1:j + 2] = off[j - 1], diag[j], off[j]
+                column = (gp_ - gm) / (2.0 * self.H_FD)
+                assert np.abs(column - model).max() <= 1e-6 * scale
 
 
 class TestDecomposition:
@@ -214,6 +272,17 @@ class TestConstrainedMinimization:
         out = gp.gamma_csv_rows([row])
         assert list(out[0]) == ["eps", "beta", "scaled_energy", "limit_energy",
                                 "gap", "mass_res_1", "mass_res_2"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: analytic.sigma_bracket(math.inf),
+    lambda: analytic.dip_floor(math.inf),
+    lambda: analytic.minimize_plateau_objective(math.inf),
+    lambda: gp.minimize_weighted_pair(0.05, math.inf, sigma=SIGMA_BETA_ONE),
+], ids=["sigma_bracket", "dip_floor", "minimize_plateau_objective", "minimize_weighted_pair"])
+def test_non_finite_beta_rejected(call):
+    with pytest.raises(ValueError, match="beta"):
+        call()
 
 
 def test_profile_dump_with_eta_column(tmp_path, eta_005):

@@ -96,7 +96,7 @@ class TestDiscreteGradient:
         rng = np.random.default_rng(11)
         g = small_grid()
         h_fd = 1e-6
-        w = g.trapezoid_weights()
+        energy = solver.PairEnergy.unit(beta, g)
         for _ in range(5):
             pair = random_pair(g, rng)
             gv, gphi = solver.discrete_gradient(pair, beta)
@@ -106,9 +106,9 @@ class TestDiscreteGradient:
                 for field, grad in ((pair.v, gv), (pair.phi, gphi)):
                     orig = field[i]
                     field[i] = orig + h_fd
-                    ep = solver._energy(pair.v, pair.phi, beta, g.spacing, w)
+                    ep = energy.energy(pair.v, pair.phi)
                     field[i] = orig - h_fd
-                    em = solver._energy(pair.v, pair.phi, beta, g.spacing, w)
+                    em = energy.energy(pair.v, pair.phi)
                     field[i] = orig
                     fd = (ep - em) / (2.0 * h_fd)
                     assert grad[i] == pytest.approx(fd, rel=1e-6, abs=5e-9)
@@ -199,15 +199,26 @@ class TestAlternatingRefine:
         g = Grid1D.from_spacing(10.0, 0.05)
         rng = np.random.default_rng(9)
         pair = random_pair(g, rng)
-        h, w = g.spacing, g.trapezoid_weights()
+        energy = solver.PairEnergy.unit(beta, g)
+        fixed = np.zeros(g.n_points, dtype=bool)
+        fixed[0] = fixed[-1] = True
         v, phi = pair.v.copy(), pair.phi.copy()
-        e_prev = solver._energy(v, phi, beta, h, w)
+        e_prev = energy.energy(v, phi)
         for _ in range(6):
-            for block in ("phi", "v"):
-                v, phi, _ = solver._newton_block(v, phi, beta, h, w, block, 1e-12, 5)
-                e = solver._energy(v, phi, beta, h, w)
-                assert e <= e_prev + 1e-15
-                e_prev = e
+            phi, _ = solver.projected_newton(
+                phi, 0.0, np.pi, fixed, lambda x: energy.energy(v, x),
+                lambda x: energy.gradient(v, x, "phi"),
+                lambda x: energy.curvature(v, x, "phi"), 1e-12, 5)
+            e = energy.energy(v, phi)
+            assert e <= e_prev + 1e-15
+            e_prev = e
+            v, _ = solver.projected_newton(
+                v, 0.0, 1.0, fixed, lambda x: energy.energy(x, phi),
+                lambda x: energy.gradient(x, phi, "v"),
+                lambda x: energy.curvature(x, phi, "v"), 1e-12, 5)
+            e = energy.energy(v, phi)
+            assert e <= e_prev + 1e-15
+            e_prev = e
 
     def test_refuses_vanishing_amplitude(self):
         g = small_grid()
