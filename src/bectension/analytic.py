@@ -44,6 +44,15 @@ def bisect(below, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def cubic_root(c: float) -> float:
+    """The root in [-1, 1] of 3x - x^3 = c for c in [-2, 2].
+
+    With x = 2 sin(u) the cubic reads 2 sin(3u) = c, so
+    x = 2 sin(asin(c/2) / 3).
+    """
+    return 2.0 * math.sin(math.asin(0.5 * c) / 3.0)
+
+
 def _check_depth(m: float) -> float:
     m = float(m)
     if not 0.0 <= m <= 1.0:
@@ -163,8 +172,8 @@ def dip_floor(beta: float) -> float:
     """
     beta = _check_beta(beta)
     _, target = minimize_plateau_objective(beta)
-    # m^3/3 - m - target decreases from ~|target| > 0 down to -2/3 - target < 0.
-    return bisect(lambda m: m**3 / 3.0 - m - target > 0.0, 1e-12, 1.0 - 1e-12)
+    # -2/3 < target < 0, so -3 target lies in (0, 2) and the root in (0, 1).
+    return cubic_root(-3.0 * target)
 
 
 @dataclass(frozen=True)
@@ -191,8 +200,8 @@ def sigma_bracket(beta: float) -> SigmaBracket:
     return SigmaBracket(lower=lower, upper=upper)
 
 
-def test_pair_fields(m: float, T: float, grid: Grid1D) -> ProfilePair:
-    """Sample the plateau test pair on a grid.
+def plateau_profiles(m: float, T: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """The plateau test pair (v, phi) at the coordinates t.
 
     v equals m on [-T, T] and follows the optimal tanh profile outside;
     phi ramps linearly from 0 to pi across the plateau.
@@ -200,7 +209,6 @@ def test_pair_fields(m: float, T: float, grid: Grid1D) -> ProfilePair:
     m = _check_depth(m)
     if T < 0.0:
         raise ValueError("T must be nonnegative")
-    t = grid.nodes
     v = np.where(
         np.abs(t) <= T,
         m,
@@ -210,7 +218,12 @@ def test_pair_fields(m: float, T: float, grid: Grid1D) -> ProfilePair:
         phi = np.clip(0.5 * math.pi / T * (t + T), 0.0, math.pi)
     else:
         phi = np.where(t < 0.0, 0.0, np.where(t > 0.0, math.pi, 0.5 * math.pi))
-    v = np.clip(v, 0.0, 1.0)
+    return np.clip(v, 0.0, 1.0), phi
+
+
+def test_pair_fields(m: float, T: float, grid: Grid1D) -> ProfilePair:
+    """``plateau_profiles`` on the grid nodes, with the end values pinned."""
+    v, phi = plateau_profiles(m, T, grid.nodes)
     # Pin the admissible boundary values regardless of truncation.
     v[0] = v[-1] = 1.0
     phi[0], phi[-1] = 0.0, math.pi

@@ -66,8 +66,8 @@ def parse_beta_list(text: str) -> list[float]:
         raise ValueError(f"cannot parse beta list {text!r}; expected a:b:n-log") from exc
     if kind != "log":
         raise ValueError(f"unknown beta-list kind {kind!r}; only 'log' is supported")
-    if a <= 0 or b <= 0 or n < 1:
-        raise ValueError("beta list endpoints must be positive and n >= 1")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf) or n < 1:
+        raise ValueError("beta list endpoints must be positive and finite, and n >= 1")
     if n == 1:
         return [a]
     return list(np.logspace(math.log10(a), math.log10(b), n))

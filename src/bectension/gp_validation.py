@@ -222,8 +222,6 @@ def interface_location(alpha1: float) -> float:
     """Jump point t0 of the limit constraint: mass alpha1 sits left of t0."""
     if not 0.0 < alpha1 < 1.0:
         raise ValueError("alpha1 must lie strictly between 0 and 1")
-    if alpha1 == 0.5:
-        return 0.0
     return tf_geometry._halfline_cut(alpha1, tf_geometry.tf_model(1))
 
 
@@ -330,11 +328,7 @@ def minimize_weighted_pair(
     if start is None:
         m_bar, _ = analytic.minimize_plateau_objective(beta)
         T = analytic.optimal_plateau_halfwidth(m_bar, beta)
-        arg = math.sqrt(rho0) * (x - t0) / eps
-        v = np.where(np.abs(arg) <= T, m_bar,
-                     np.tanh(np.maximum(np.abs(arg) - T, 0.0) / math.sqrt(2.0)
-                             + math.atanh(min(m_bar, 1.0 - 1e-15))))
-        phi = np.clip(0.5 * math.pi * (arg / max(T, 1e-12) + 1.0), 0.0, math.pi)
+        v, phi = analytic.plateau_profiles(m_bar, T, math.sqrt(rho0) * (x - t0) / eps)
     else:
         v, phi = start[0].copy(), start[1].copy()
     v = v / math.sqrt(float(np.sum(mass * v * v)))

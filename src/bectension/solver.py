@@ -54,6 +54,8 @@ class SolverConfig:
     max_iterations: int = 200_000         # budget of Newton half-steps
 
     def __post_init__(self):
+        if self.spacing is not None and self.n_points is not None:
+            raise ValueError("set spacing or n_points, not both")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iterations <= 0:

@@ -6,6 +6,10 @@ mass alpha has the closed radial form f(alpha); f is strictly concave, which
 reduces radially symmetric competitors to balls and outer annuli.  Explicit
 non-radial candidates (half-line cut, diameter chord, angular wedge) beat the
 radial minimum at alpha = 1/2 in dimensions 1, 2 and 3: symmetry breaking.
+
+Every mass and wall integral is a closed form.  Two inverses still bisect:
+the ball radius carrying a given mass (a quintic in n = 3) and the chord
+angle in n = 2 (a transcendental equation).
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .analytic import SIGMA_INFINITY, bisect
+from .analytic import SIGMA_INFINITY, bisect, cubic_root
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -156,34 +159,38 @@ def concavity_report(model: TFModel, n_grid: int = 128) -> ConcavityReport:
 
 
 def _halfline_cut(alpha: float, model: TFModel) -> float:
-    """n=1: the point t with mass alpha to its left; root of a cubic by bisection."""
+    """n=1: the point t with mass alpha to its left.
+
+    The mass lam^2 t - t^3/3 + 2 lam^3/3 = alpha is the cubic
+    3x - x^3 = 3 alpha / lam^3 - 2 in x = t / lam.
+    """
     lam = model.lam
-
-    def mass(t):
-        return lam**2 * t - t**3 / 3.0 + 2.0 * lam**3 / 3.0
-
-    return bisect(lambda t: mass(t) < alpha, -lam, lam)
+    return lam * cubic_root(3.0 * alpha / lam**3 - 2.0)
 
 
 def _chord_offset(alpha: float, model: TFModel) -> float:
-    """n=2: offset d of the vertical chord with mass alpha on {x < d}."""
+    """n=2: offset d of the vertical chord with mass alpha on {x < d}.
+
+    Each column carries (4/3)(lam^2 - x^2)^(3/2); with d = lam sin(theta) the
+    mass left of d is (4/3) lam^4 G(theta),
+    G(theta) = 3 theta/8 + sin(2 theta)/4 + sin(4 theta)/32 + 3 pi/16.
+    """
     lam = model.lam
 
-    def mass(d):
-        # integral over x < d of rho: each column contributes (4/3)(lam^2-x^2)^(3/2)
-        val, _ = quad(lambda x: 4.0 / 3.0 * (lam**2 - x * x) ** 1.5, -lam, d,
-                      epsabs=1e-13, epsrel=1e-13)
-        return val
+    def mass(theta):
+        return 4.0 / 3.0 * lam**4 * (3.0 * theta / 8.0 + math.sin(2.0 * theta) / 4.0
+                                     + math.sin(4.0 * theta) / 32.0 + 3.0 * math.pi / 16.0)
 
-    return bisect(lambda d: mass(d) < alpha, -lam, lam)
+    return lam * math.sin(bisect(lambda theta: mass(theta) < alpha, -0.5 * math.pi, 0.5 * math.pi))
 
 
 def nonradial_candidate_energy(alpha: float, model: TFModel) -> float:
     """Limit energy of the explicit non-radially-symmetric candidate set.
 
     n=1: half-line cut at the mass-alpha point, energy (2 sqrt(2)/3) rho(t)^(3/2).
-    n=2: straight chord carrying mass alpha, energy by adaptive quadrature of
-         rho^(3/2) along the chord (candidate shape from the two-dimensional
+    n=2: straight chord at offset d carrying mass alpha, energy
+         (2 sqrt(2)/3)(3 pi/8)(lambda^2 - d^2)^2, the integral of rho^(3/2)
+         along the chord (candidate shape from the two-dimensional
          precursor of this construction).
     n=3: angular wedge bounded by two half-disk walls, energy
          (2 sqrt(2)/3)(2 pi/5) lambda^5 independent of alpha.
@@ -197,10 +204,7 @@ def nonradial_candidate_energy(alpha: float, model: TFModel) -> float:
         return SIGMA_INFINITY * (lam**2 - t * t) ** 1.5
     if n == 2:
         d = _chord_offset(alpha, model)
-        half = math.sqrt(max(lam**2 - d * d, 0.0))
-        val, _ = quad(lambda y: (lam**2 - d * d - y * y) ** 1.5, -half, half,
-                      epsabs=1e-13, epsrel=1e-13)
-        return SIGMA_INFINITY * val
+        return SIGMA_INFINITY * 3.0 * math.pi / 8.0 * (lam**2 - d * d) ** 2
     # two flat half-disk walls, each integrating rho^(3/2) to pi lam^5 / 5
     return SIGMA_INFINITY * 2.0 * math.pi * lam**5 / 5.0
 

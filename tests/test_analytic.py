@@ -156,6 +156,19 @@ class TestPlateauObjective:
         assert val <= min(grid_vals) + 1e-12
 
 
+class TestCubicRoot:
+    @pytest.mark.parametrize("c", [-2.0, -1.5, -0.3, 0.0, 0.7, 1.9, 2.0])
+    def test_root_in_unit_interval(self, c):
+        x = analytic.cubic_root(c)
+        assert -1.0 <= x <= 1.0
+        assert abs(3.0 * x - x**3 - c) < 1e-14
+
+    def test_endpoints_and_center_exact(self):
+        assert analytic.cubic_root(0.0) == 0.0
+        assert analytic.cubic_root(2.0) == pytest.approx(1.0, abs=1e-15)
+        assert analytic.cubic_root(-2.0) == pytest.approx(-1.0, abs=1e-15)
+
+
 class TestDipFloor:
     @pytest.mark.parametrize("beta", [0.01, 1.0, 100.0])
     def test_root_residual(self, beta):

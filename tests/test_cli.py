@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +68,9 @@ class TestValidation:
         ["gamma", "--beta", "inf", "--eps-list", "0.04"],
         ["gamma", "--beta", "1", "--eps-list", "0.2"],
         ["gamma", "--beta", "1", "--eps-list", "0.02,0.04"],
+        ["sweep", "--betas", "1:inf:3-log"],
+        ["sweep", "--betas", "nan:10:3-log"],
+        ["sigma", "--beta", "1", "--spacing", "0.1", "--n-points", "201"],
     ])
     def test_bad_input_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -190,3 +196,14 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "--config", "/no/such/file", "bounds", "--beta", "1")
         assert code == 2
         assert "error" in err
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        # a fresh interpreter, since the test modules themselves import scipy.integrate
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import bectension.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "False"

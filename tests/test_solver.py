@@ -386,6 +386,10 @@ class TestGridPolicy:
         assert res.grid.half_width == 5.0
         assert res.grid.n_points == 201
 
+    def test_conflicting_grid_overrides(self):
+        with pytest.raises(ValueError, match="spacing or n_points"):
+            solver.SolverConfig(spacing=0.1, n_points=201)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             Grid1D(10.0, 200)  # even node count

@@ -165,7 +165,7 @@ class TestNonradialCandidate:
 
     def test_halfline_cut_mass_oracle(self):
         m = MODELS[1]
-        for alpha in [0.3, 0.6]:
+        for alpha in [1e-6, 0.3, 0.6, 1.0 - 1e-6]:
             t = tf._halfline_cut(alpha, m)
             val, _ = quad(lambda x: m.lam**2 - x * x, -m.lam, t, epsabs=1e-14)
             assert val == pytest.approx(alpha, abs=1e-10)
@@ -176,6 +176,16 @@ class TestNonradialCandidate:
         m = MODELS[2]
         assert tf.nonradial_candidate_energy(0.5, m) == pytest.approx(
             tf.SIGMA_INFINITY * 3.0 * math.pi / 8.0 * m.lam**4, rel=1e-8
+        )
+
+    def test_chord_energy_quadrature_oracle(self):
+        m = MODELS[2]
+        d = tf._chord_offset(0.3, m)
+        half = math.sqrt(m.lam**2 - d * d)
+        val, _ = quad(lambda y: (m.lam**2 - d * d - y * y) ** 1.5, -half, half,
+                      epsabs=1e-13, epsrel=1e-13)
+        assert tf.nonradial_candidate_energy(0.3, m) == pytest.approx(
+            tf.SIGMA_INFINITY * val, rel=1e-12
         )
 
     def test_chord_mass_oracle(self):
