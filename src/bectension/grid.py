@@ -85,17 +85,29 @@ class ProfilePair:
         )
 
 
+_DUMP_BLOCK_ROWS = 4096  # rows formatted per write; bounds the text held at once
+
+
 def dump_profile(pair: ProfilePair, path, eta: np.ndarray | None = None):
     """Write a plain-text profile dump: header then one node per line.
 
-    Columns are ``t v phi`` (plus ``eta`` when given), 17 significant digits.
+    Columns are ``t v phi`` (plus ``eta`` when given), each at ``%.17g``, so
+    ``np.loadtxt`` reads the values back bit-exactly.  Rows are formatted and
+    written in blocks of ``_DUMP_BLOCK_ROWS``; the bytes are the same as
+    formatting each value with ``format(x, ".17g")`` row by row.
     """
     cols = [pair.grid.nodes, pair.v, pair.phi]
     header = "# t v phi"
     if eta is not None:
-        cols.append(np.asarray(eta, dtype=float))
+        eta = np.asarray(eta, dtype=float)
+        if eta.shape != pair.v.shape:
+            raise ValueError(f"eta has {eta.size} values but the grid has {pair.v.size} nodes")
+        cols.append(eta)
         header += " eta"
+    table = np.column_stack(cols)
+    row = " ".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        for start in range(0, len(table), _DUMP_BLOCK_ROWS):
+            block = table[start:start + _DUMP_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

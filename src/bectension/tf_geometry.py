@@ -162,9 +162,13 @@ def _halfline_cut(alpha: float, model: TFModel) -> float:
     """n=1: the point t with mass alpha to its left.
 
     The mass lam^2 t - t^3/3 + 2 lam^3/3 = alpha is the cubic
-    3x - x^3 = 3 alpha / lam^3 - 2 in x = t / lam.
+    3x - x^3 = 3 alpha / lam^3 - 2 in x = t / lam, which has a root in
+    [-1, 1] only while alpha is at most the cloud mass 4 lam^3 / 3.
     """
     lam = model.lam
+    cloud_mass = ball_mass(1.0, model)
+    if alpha > cloud_mass:
+        raise ValueError(f"alpha {alpha:g} exceeds the cloud mass {cloud_mass:g}")
     return lam * cubic_root(3.0 * alpha / lam**3 - 2.0)
 
 

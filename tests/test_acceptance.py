@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from bectension import analytic, asymptotics, gp_validation, solver, tf_geometry
-from tests.test_analytic import mm_half_line_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -184,9 +183,9 @@ def test_12_decomposition_identity():
             f"pure state residual {exact_zero}, refinement factor {factor:.2f} >= 1.5")
 
 
-def test_13_transition_cost_oracle():
+def test_13_transition_cost_oracle(transition_cost_oracle):
     worst = 0.0
     for m in (0.0, 0.3, 0.7):
-        worst = max(worst, abs(mm_half_line_oracle(m) - analytic.transition_cost(m)))
+        worst = max(worst, abs(transition_cost_oracle(m) - analytic.transition_cost(m)))
     verdict(13, "transition-cost oracle", worst <= 1e-4,
             f"worst |numeric - closed form| = {worst:.2e} over m in {{0, 0.3, 0.7}}")

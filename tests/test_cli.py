@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from bectension import analytic, cli
+from bectension import analytic, cli, solver
+from bectension.grid import ProfilePair
 
 
 FAST_GRID = ["--half-width", "10", "--spacing", "0.05", "--grad-tol", "1e-7"]
@@ -122,6 +123,19 @@ class TestSigmaAndProfile:
         assert t[0] == -10.0 and t[-1] == 10.0
         assert v[0] == 1.0 and phi[0] == 0.0
         assert phi[-1] == pytest.approx(math.pi, abs=1e-15)
+
+    def test_profile_dump_round_trip(self, capsys, tmp_path):
+        dump = tmp_path / "profile.txt"
+        code, out, _ = run_cli(capsys, "profile", "--beta", "1", "--dump", str(dump), *FAST_GRID)
+        assert code == 0
+        sigma = float(out.strip().splitlines()[1].split(",")[1])
+        result = solver.solve(1.0, solver.SolverConfig(half_width=10.0, spacing=0.05,
+                                                       grad_tol=1e-7))
+        t, v, phi = np.loadtxt(dump, unpack=True)
+        assert np.array_equal(t, result.grid.nodes)
+        assert np.array_equal(v, result.pair.v) and np.array_equal(phi, result.pair.phi)
+        loaded = ProfilePair(result.grid, v, phi)
+        assert solver.discrete_energy(loaded, 1.0).total == sigma == result.sigma
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "sigma", "--beta", "0.5", *FAST_GRID)

@@ -170,6 +170,11 @@ class TestNonradialCandidate:
             val, _ = quad(lambda x: m.lam**2 - x * x, -m.lam, t, epsabs=1e-14)
             assert val == pytest.approx(alpha, abs=1e-10)
 
+    def test_halfline_cut_rejects_alpha_above_cloud_mass(self):
+        light = tf.TFModel(1, 0.5)  # cloud mass 4 (0.5)^3 / 3 = 1/6
+        with pytest.raises(ValueError, match=r"alpha 0\.9 exceeds the cloud mass 0\.166667"):
+            tf.nonradial_candidate_energy(0.9, light)
+
     def test_chord_matches_closed_form(self):
         # chord energy has the closed form (3 pi / 8) (lam^2 - d^2)^2 with
         # d = 0 at half mass
