@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, ProfilePair
+from .grid import Grid1D, ProfilePair, require_positive
 
 SQRT2 = math.sqrt(2.0)
 
@@ -25,8 +25,7 @@ SIGMA_INFINITY = 2.0 * SQRT2 / 3.0
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    require_positive("beta", beta)
     return beta
 
 
@@ -228,39 +227,3 @@ def test_pair_fields(m: float, T: float, grid: Grid1D) -> ProfilePair:
     v[0] = v[-1] = 1.0
     phi[0], phi[-1] = 0.0, math.pi
     return ProfilePair(grid, v, phi)
-
-
-def small_beta_stretch(source: ProfilePair, beta: float) -> ProfilePair:
-    """Stretch a finite-energy pair into an admissible pair for small beta.
-
-    Keeps v and the angle of the source on [-s, s] with s = 1/sqrt(beta),
-    then ramps phi linearly to 0 on [-2s, -s] and to pi on [s, 2s]; outside
-    the ramps phi is constant.  The output's energy at coupling beta exceeds
-    the source's beta=0 energy by at most C*sqrt(beta).
-    """
-    beta = _check_beta(beta)
-    s = 1.0 / math.sqrt(beta)
-    h = source.grid.spacing
-    half_width = 2.0 * s + max(2.0, 0.1 * s)
-    out_grid = Grid1D.from_spacing(half_width, h)
-    t = out_grid.nodes
-
-    src_t = source.grid.nodes
-    phi_src = lambda x: np.interp(x, src_t, source.phi)  # constant extension
-    v_out = np.interp(t, src_t, source.v, left=source.v[0], right=source.v[-1])
-
-    phi_l = float(phi_src(-s))
-    phi_r = float(phi_src(s))
-    phi_out = np.empty_like(t)
-    left = t <= -2.0 * s
-    ramp_l = (~left) & (t <= -s)
-    mid = (t > -s) & (t < s)
-    ramp_r = (t >= s) & (t < 2.0 * s)
-    right = t >= 2.0 * s
-    phi_out[left] = 0.0
-    phi_out[ramp_l] = math.sqrt(beta) * phi_l * (t[ramp_l] + s) + phi_l
-    phi_out[mid] = phi_src(t[mid])
-    phi_out[ramp_r] = math.sqrt(beta) * (math.pi - phi_r) * (t[ramp_r] - s) + phi_r
-    phi_out[right] = math.pi
-    phi_out = np.clip(phi_out, 0.0, math.pi)
-    return ProfilePair(out_grid, v_out, phi_out)

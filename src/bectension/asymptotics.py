@@ -9,16 +9,17 @@ slope is reported rather than asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import analytic, solver
 
-# Frozen certificate constant for the weak-coupling bound sigma <= C*sqrt(beta).
-# Measured once from the stretch construction applied to the zero-cost flat
-# source (v=1, phi=pi/2): discrete stretched energies sit at 0.9918*sqrt(beta)
-# for beta in [1e-6, 1e-2] (analytically pi^2/16 + 1/4 + 1/8 = 0.99185).
+# Certificate constant of the weak-coupling bound sigma <= C*sqrt(beta).  The
+# kink pair v = 1, phi = 2 arctan(exp(sqrt(beta) t)) has phi' = sqrt(beta)
+# sin(phi), so its energy (1/8) int phi'^2 + beta sin^2(phi) equals
+# (1/4) sqrt(beta) int_0^pi sin(phi) dphi = sqrt(beta)/2: C = 1 holds with a
+# factor-2 margin.
 SMALL_BETA_COEFF = 1.0
 
 
@@ -43,9 +44,6 @@ class SweepTable:
 
     def __post_init__(self):
         self.rows = sorted(self.rows, key=lambda r: r.beta)
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -78,7 +76,7 @@ def _solve_row(beta: float, config: solver.SolverConfig | None) -> SweepRow:
 
 
 def beta_sweep(betas, config: solver.SolverConfig | None = None) -> SweepTable:
-    """One converged solve per beta, each on its beta-adapted default grid.
+    """One converged solve per distinct beta, on its beta-adapted default grid.
 
     Rows are solved one after another and assembled in ascending beta.  If
     any solve fails the partial table is raised inside a SweepError.
@@ -88,7 +86,7 @@ def beta_sweep(betas, config: solver.SolverConfig | None = None) -> SweepTable:
         raise ValueError("all beta values must be positive")
     rows: dict[float, SweepRow] = {}
     failures: dict[float, Exception] = {}
-    for b in betas:
+    for b in dict.fromkeys(betas):
         try:
             rows[b] = _solve_row(b, config)
         except Exception as exc:  # noqa: BLE001 - reported per beta
@@ -160,8 +158,8 @@ class SmallBetaReport:
     passed: bool
 
 
-def small_beta_report(table: SweepTable, coeff: float = SMALL_BETA_COEFF) -> SmallBetaReport:
-    """Check sigma <= coeff*sqrt(beta) on the weak-coupling rows (beta <= 1e-2).
+def small_beta_report(table: SweepTable) -> SmallBetaReport:
+    """Check sigma <= SMALL_BETA_COEFF sqrt(beta) on the rows with beta <= 1e-2.
 
     The measured log-log slope of sigma against beta is informational: the
     matching lower bound is not proven, so only the upper bound is asserted.
@@ -174,10 +172,7 @@ def small_beta_report(table: SweepTable, coeff: float = SMALL_BETA_COEFF) -> Sma
     ratios = sigmas / np.sqrt(betas)
     fit = loglog_slope(betas, sigmas)
     ratio_max = float(ratios.max())
-    return SmallBetaReport(ratio_max, fit, ratio_max <= coeff)
-
-
-SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
+    return SmallBetaReport(ratio_max, fit, ratio_max <= SMALL_BETA_COEFF)
 
 
 def sweep_csv_rows(table: SweepTable) -> list[dict]:

@@ -25,20 +25,15 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def emit(rows: list[dict], fmt: str, path: str | None, columns: list[str] | None = None) -> None:
+def emit(rows: list[dict], fmt: str, path: str | None) -> None:
     """Write rows as CSV (header + rows) or a JSON document.
 
-    Field order is the dict order of the first row (or ``columns`` for an
-    empty table, giving a header-only CSV); floats carry 17 significant
-    digits so parsing reproduces them bit-exactly.
+    Field order is the dict order of the first row; floats carry 17
+    significant digits so parsing reproduces them bit-exactly.
     """
     if fmt == "csv":
-        keys = list(rows[0].keys()) if rows else list(columns or [])
-        lines = []
-        if keys:
-            lines.append(",".join(keys))
-            for row in rows:
-                lines.append(",".join(_fmt(row[k]) for k in keys))
+        keys = list(rows[0])
+        lines = [",".join(keys)] + [",".join(_fmt(row[k]) for k in keys) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         def clean(v):
@@ -215,25 +210,18 @@ def main(argv=None) -> int:
             table = asymptotics.beta_sweep(parse_beta_list(args.betas), _solver_config(args))
             for line in _sweep_reports(table):
                 print(line, file=sys.stderr)
-            emit(asymptotics.sweep_csv_rows(table), args.format, args.output,
-                 columns=asymptotics.SWEEP_COLUMNS)
+            emit(asymptotics.sweep_csv_rows(table), args.format, args.output)
             return 0
 
         if args.command == "tf":
-            if not 0.0 < args.alpha < 1.0:
-                parser.error(f"alpha must lie strictly between 0 and 1, got {args.alpha:g}")
-            model = tf_geometry.tf_model(args.dim)
+            model = tf_geometry.TFModel(args.dim)
             report = tf_geometry.symmetry_breaking_report(model)
-            concavity = tf_geometry.concavity_report(model, 128)
-            split = tf_geometry.radius_for_mass(args.alpha, model)
-            print(f"dim {args.dim}: discriminant {report.ratio:.6g} "
-                  f"({'broken' if report.broken else 'radial'}), "
-                  f"concavity {'ok' if concavity.passed else 'FAILED'}", file=sys.stderr)
-            emit([{
+            concavity = tf_geometry.concavity_report(model)
+            row = {  # a bad --alpha raises here, before anything is printed
                 "dim": args.dim,
                 "lambda": model.lam,
                 "alpha": args.alpha,
-                "radius_alpha": split.radius,
+                "radius_alpha": tf_geometry.radius_for_mass(args.alpha, model),
                 "f_alpha": tf_geometry.radial_energy(args.alpha, model),
                 "candidate_alpha": tf_geometry.nonradial_candidate_energy(args.alpha, model),
                 "split_radius": report.split_radius,
@@ -243,7 +231,11 @@ def main(argv=None) -> int:
                 "broken": report.broken,
                 "derived_from_citation": report.derived_from_citation,
                 "concavity_pass": concavity.passed,
-            }], args.format, args.output)
+            }
+            print(f"dim {args.dim}: discriminant {report.ratio:.6g} "
+                  f"({'broken' if report.broken else 'radial'}), "
+                  f"concavity {'ok' if concavity.passed else 'FAILED'}", file=sys.stderr)
+            emit([row], args.format, args.output)
             return 0
 
         if args.command == "gamma":
@@ -251,8 +243,6 @@ def main(argv=None) -> int:
                 eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
             except ValueError:
                 parser.error(f"cannot parse eps list {args.eps_list!r}")
-            if not 0.0 < args.alpha1 < 1.0:
-                parser.error("alpha1 must lie strictly between 0 and 1")
             rows = gp_validation.gamma_table(eps_list, args.beta, alpha1=args.alpha1)
             for row in rows:
                 print(f"eps={row.eps:g}: gap {row.gap:+.6g} "
@@ -267,7 +257,7 @@ def main(argv=None) -> int:
                   f"({result.grid.n_points} nodes)", file=sys.stderr)
             emit([_result_row(result)], args.format, args.output)
             return 0
-    except ValueError as exc:  # input rejected where it is used: grid, beta or eps list
+    except ValueError as exc:  # input rejected where it is used: grid, beta, eps or alpha
         parser.error(str(exc))
     except solver.ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

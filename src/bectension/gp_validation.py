@@ -51,10 +51,6 @@ class GroundState:
     energy: float
     iterations: int
 
-    def norm(self) -> float:
-        w = self.grid.trapezoid_weights()
-        return math.sqrt(self.grid.spacing * float(w @ (self.values**2)))
-
 
 def _gp_energy(u, x, eps, h, w) -> float:
     du = np.diff(u)
@@ -222,7 +218,7 @@ def interface_location(alpha1: float) -> float:
     """Jump point t0 of the limit constraint: mass alpha1 sits left of t0."""
     if not 0.0 < alpha1 < 1.0:
         raise ValueError("alpha1 must lie strictly between 0 and 1")
-    return tf_geometry._halfline_cut(alpha1, tf_geometry.tf_model(1))
+    return tf_geometry._halfline_cut(alpha1, tf_geometry.TFModel(1))
 
 
 # Augmented-penalty continuation: STAGES stages, the penalty weight starting
@@ -374,13 +370,16 @@ def gamma_table(
 ) -> list[GammaRow]:
     """One constrained solve per eps, warm-started from the previous row.
 
-    ``eps_list`` must be decreasing with every entry at most 0.1.
+    ``eps_list`` must be nonempty and decreasing with every entry at most 0.1.
     """
     eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise ValueError("eps_list is empty")
     if any(e > 0.1 for e in eps_list):
         raise ValueError("eps values above 0.1 are outside the validated regime")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
+    interface_location(alpha1)  # rejects a bad alpha1 before the first solve
     if sigma is None:
         sigma = solver.solve(beta).sigma
     rows: list[GammaRow] = []

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def require_positive(name: str, value: float) -> None:
+    """Reject a value outside (0, inf), nan included."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -16,8 +23,7 @@ class Grid1D:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        require_positive("half_width", self.half_width)
         if self.n_points < 3:
             raise ValueError("need at least 3 nodes")
         if self.n_points % 2 == 0:
@@ -34,8 +40,8 @@ class Grid1D:
     @classmethod
     def from_spacing(cls, half_width: float, max_spacing: float) -> "Grid1D":
         """Smallest odd node count whose spacing does not exceed ``max_spacing``."""
-        if max_spacing <= 0:
-            raise ValueError("max_spacing must be positive")
+        require_positive("half_width", half_width)
+        require_positive("max_spacing", max_spacing)
         n_cells = int(np.ceil(2.0 * half_width / max_spacing))
         if n_cells % 2 == 1:
             n_cells += 1
@@ -53,7 +59,7 @@ class ProfilePair:
 
     A pair admissible for the transition problem is pinned at the ends:
     v(+-L)=1, phi(-L)=0, phi(L)=pi.  Construction does not enforce the
-    pinning so that relaxed pairs (energy probes, stretch sources) can be
+    pinning so that relaxed pairs (energy probes) can be
     represented; solver entry points validate what they need.
     """
 
@@ -67,47 +73,22 @@ class ProfilePair:
         if self.v.shape != (self.grid.n_points,) or self.phi.shape != (self.grid.n_points,):
             raise ValueError("field lengths must match the grid")
 
-    def copy(self) -> "ProfilePair":
-        return ProfilePair(self.grid, self.v.copy(), self.phi.copy())
-
-    def check_boxes(self, slack: float = 1e-12):
-        if self.v.min() < -slack or self.v.max() > 1.0 + slack:
-            raise ValueError("v must take values in [0, 1]")
-        if self.phi.min() < -slack or self.phi.max() > np.pi + slack:
-            raise ValueError("phi must take values in [0, pi]")
-
-    def is_pinned(self, tol: float = 1e-12) -> bool:
-        return (
-            abs(self.v[0] - 1.0) <= tol
-            and abs(self.v[-1] - 1.0) <= tol
-            and abs(self.phi[0]) <= tol
-            and abs(self.phi[-1] - np.pi) <= tol
-        )
-
 
 _DUMP_BLOCK_ROWS = 4096  # rows formatted per write; bounds the text held at once
 
 
-def dump_profile(pair: ProfilePair, path, eta: np.ndarray | None = None):
+def dump_profile(pair: ProfilePair, path):
     """Write a plain-text profile dump: header then one node per line.
 
-    Columns are ``t v phi`` (plus ``eta`` when given), each at ``%.17g``, so
-    ``np.loadtxt`` reads the values back bit-exactly.  Rows are formatted and
-    written in blocks of ``_DUMP_BLOCK_ROWS``; the bytes are the same as
-    formatting each value with ``format(x, ".17g")`` row by row.
+    Columns are ``t v phi``, each at ``%.17g``, so ``np.loadtxt`` reads the
+    values back bit-exactly.  Rows are formatted and written in blocks of
+    ``_DUMP_BLOCK_ROWS``; the bytes are the same as formatting each value
+    with ``format(x, ".17g")`` row by row.
     """
-    cols = [pair.grid.nodes, pair.v, pair.phi]
-    header = "# t v phi"
-    if eta is not None:
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != pair.v.shape:
-            raise ValueError(f"eta has {eta.size} values but the grid has {pair.v.size} nodes")
-        cols.append(eta)
-        header += " eta"
-    table = np.column_stack(cols)
-    row = " ".join(["%.17g"] * len(cols)) + "\n"
+    table = np.column_stack([pair.grid.nodes, pair.v, pair.phi])
+    row = "%.17g %.17g %.17g\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write("# t v phi\n")
         for start in range(0, len(table), _DUMP_BLOCK_ROWS):
             block = table[start:start + _DUMP_BLOCK_ROWS]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))

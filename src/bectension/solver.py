@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import analytic
-from .grid import Grid1D, ProfilePair
+from .grid import Grid1D, ProfilePair, require_positive
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.spacing is not None and self.n_points is not None:
             raise ValueError("set spacing or n_points, not both")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        require_positive("grad_tol", self.grad_tol)
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 

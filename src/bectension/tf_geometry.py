@@ -1,11 +1,12 @@
 """Thomas-Fermi cloud geometry for the harmonic trap V = |x|^2.
 
-The limit density is rho(x) = (lambda^2 - |x|^2)_+ with lambda normalizing
-the total mass to 1.  The sharp-interface energy of a centered ball carrying
-mass alpha has the closed radial form f(alpha); f is strictly concave, which
-reduces radially symmetric competitors to balls and outer annuli.  Explicit
-non-radial candidates (half-line cut, diameter chord, angular wedge) beat the
-radial minimum at alpha = 1/2 in dimensions 1, 2 and 3: symmetry breaking.
+The limit density is rho(x) = (lambda^2 - |x|^2)_+, a cloud of unit mass, so
+lambda is fixed by the dimension.  The sharp-interface energy of a centered
+ball carrying mass alpha has the closed radial form f(alpha); f is strictly
+concave, which reduces radially symmetric competitors to balls and outer
+annuli.  Explicit non-radial candidates (half-line cut, diameter chord,
+angular wedge) beat the radial minimum at alpha = 1/2 in dimensions 1, 2 and
+3: symmetry breaking.
 
 Every mass and wall integral is a closed form.  Two inverses still bisect:
 the ball radius carrying a given mass (a quintic in n = 3) and the chord
@@ -15,7 +16,7 @@ angle in n = 2 (a transcendental equation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,31 +36,22 @@ def sphere_area(n: int) -> float:
 def tf_lambda(n: int) -> float:
     """Cloud radius normalizing the Thomas-Fermi mass to 1.
 
-    n=1: (3/4)^(1/3);  n=2: (2/pi)^(1/4);  n=3: (15/(8 pi))^(1/5).
+    The cloud mass area * lam^(n+2) * (1/n - 1/(n+2)) = 1 gives
+    lam = (n (n+2) / (2 area))^(1/(n+2)): (3/4)^(1/3), (2/pi)^(1/4) and
+    (15/(8 pi))^(1/5) in n = 1, 2, 3.
     """
-    sphere_area(n)
-    if n == 1:
-        return (0.75) ** (1.0 / 3.0)
-    if n == 2:
-        return (2.0 / math.pi) ** 0.25
-    return (15.0 / (8.0 * math.pi)) ** 0.2
+    return (n * (n + 2) / (2.0 * sphere_area(n))) ** (1.0 / (n + 2))
 
 
 @dataclass(frozen=True)
 class TFModel:
-    """Harmonic-trap Thomas-Fermi cloud in dimension 1, 2 or 3."""
+    """Harmonic-trap Thomas-Fermi cloud of unit mass in dimension 1, 2 or 3."""
 
     dimension: int
-    lam: float
+    lam: float = field(init=False)
 
     def __post_init__(self):
-        sphere_area(self.dimension)
-        if self.lam <= 0:
-            raise ValueError("cloud radius must be positive")
-
-
-def tf_model(n: int) -> TFModel:
-    return TFModel(n, tf_lambda(n))
+        object.__setattr__(self, "lam", tf_lambda(self.dimension))
 
 
 def tf_density(r: float, model: TFModel):
@@ -74,33 +66,18 @@ def ball_mass(R: float, model: TFModel) -> float:
     R = float(R)
     if not 0.0 <= R <= 1.0:
         raise ValueError("normalized radius must lie in [0, 1]")
-    n, lam = model.dimension, model.lam
-    s = sphere_area(n)
-    if n == 1:
-        poly = R - R**3 / 3.0
-    elif n == 2:
-        poly = R**2 / 2.0 - R**4 / 4.0
-    else:
-        poly = R**3 / 3.0 - R**5 / 5.0
-    return s * lam ** (n + 2) * poly
+    n = model.dimension
+    return sphere_area(n) * model.lam ** (n + 2) * (R**n / n - R ** (n + 2) / (n + 2))
 
 
-@dataclass(frozen=True)
-class RadialSplit:
-    alpha: float
-    radius: float
-
-
-def radius_for_mass(alpha: float, model: TFModel) -> RadialSplit:
+def radius_for_mass(alpha: float, model: TFModel) -> float:
     """Normalized radius whose centered ball carries mass alpha (bisection)."""
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if alpha == 0.0:
-        return RadialSplit(alpha, 0.0)
-    if alpha == 1.0:
-        return RadialSplit(alpha, 1.0)
-    return RadialSplit(alpha, bisect(lambda R: ball_mass(R, model) < alpha, 0.0, 1.0))
+    if alpha in (0.0, 1.0):
+        return alpha
+    return bisect(lambda R: ball_mass(R, model) < alpha, 0.0, 1.0)
 
 
 def radial_energy(alpha: float, model: TFModel) -> float:
@@ -114,7 +91,7 @@ def radial_energy(alpha: float, model: TFModel) -> float:
     if alpha in (0.0, 1.0):
         return 0.0
     n, lam = model.dimension, model.lam
-    R = radius_for_mass(alpha, model).radius
+    R = radius_for_mass(alpha, model)
     return SIGMA_INFINITY * sphere_area(n) * lam ** (n + 2) * R ** (n - 1) * (1.0 - R**2) ** 1.5
 
 
@@ -124,7 +101,7 @@ def radial_energy_second_derivative(alpha: float, model: TFModel) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("the second derivative is defined on (0, 1)")
     n, lam = model.dimension, model.lam
-    R = radius_for_mass(alpha, model).radius
+    R = radius_for_mass(alpha, model)
     s = sphere_area(n) * lam ** (n + 2)
     return (
         -SIGMA_INFINITY / s
@@ -141,15 +118,13 @@ class ConcavityReport:
     passed: bool
 
 
-def concavity_report(model: TFModel, n_grid: int = 128) -> ConcavityReport:
-    """Strict concavity of the radial energy on a uniform interior alpha grid.
+def concavity_report(model: TFModel) -> ConcavityReport:
+    """Strict concavity of the radial energy on 128 uniform interior alphas.
 
     Central second differences and the closed-form second derivative must both
     be negative at every grid point.
     """
-    if n_grid < 16:
-        raise ValueError("need at least 16 grid points")
-    alphas = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
+    alphas = np.linspace(0.0, 1.0, 130)[1:-1]
     f = np.array([radial_energy(a, model) for a in alphas])
     d2 = f[2:] - 2.0 * f[1:-1] + f[:-2]
     closed = np.array([radial_energy_second_derivative(a, model) for a in alphas])
@@ -162,13 +137,10 @@ def _halfline_cut(alpha: float, model: TFModel) -> float:
     """n=1: the point t with mass alpha to its left.
 
     The mass lam^2 t - t^3/3 + 2 lam^3/3 = alpha is the cubic
-    3x - x^3 = 3 alpha / lam^3 - 2 in x = t / lam, which has a root in
-    [-1, 1] only while alpha is at most the cloud mass 4 lam^3 / 3.
+    3x - x^3 = 3 alpha / lam^3 - 2 in x = t / lam, with its root in [-1, 1]
+    since alpha lies below the unit cloud mass 4 lam^3 / 3.
     """
     lam = model.lam
-    cloud_mass = ball_mass(1.0, model)
-    if alpha > cloud_mass:
-        raise ValueError(f"alpha {alpha:g} exceeds the cloud mass {cloud_mass:g}")
     return lam * cubic_root(3.0 * alpha / lam**3 - 2.0)
 
 
@@ -244,7 +216,7 @@ def symmetry_breaking_report(model: TFModel) -> SymmetryBreakingReport:
     ratio, broken = _breaking_verdict(radial, candidate)
     return SymmetryBreakingReport(
         dimension=model.dimension,
-        split_radius=radius_for_mass(alpha, model).radius,
+        split_radius=radius_for_mass(alpha, model),
         radial_min=radial,
         candidate=candidate,
         ratio=ratio,

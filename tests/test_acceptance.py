@@ -66,8 +66,8 @@ def test_04_weak_coupling_bound(solve_cache):
 
 
 def test_05_symmetry_breaking_constants():
-    rep1 = tf_geometry.symmetry_breaking_report(tf_geometry.tf_model(1))
-    rep3 = tf_geometry.symmetry_breaking_report(tf_geometry.tf_model(3))
+    rep1 = tf_geometry.symmetry_breaking_report(tf_geometry.TFModel(1))
+    rep3 = tf_geometry.symmetry_breaking_report(tf_geometry.TFModel(3))
     ok = (
         abs(rep1.ratio - 1.65) <= 0.02 and abs(rep1.split_radius - 0.35) <= 0.01
         and abs(rep3.ratio - 1.86) <= 0.02 and abs(rep3.split_radius - 0.64) <= 0.01
@@ -79,7 +79,7 @@ def test_05_symmetry_breaking_constants():
 
 
 def test_06_radial_energy_concavity():
-    reports = {n: tf_geometry.concavity_report(tf_geometry.tf_model(n), 128) for n in (1, 2, 3)}
+    reports = {n: tf_geometry.concavity_report(tf_geometry.TFModel(n)) for n in (1, 2, 3)}
     ok = all(r.passed for r in reports.values())
     detail = ", ".join(
         f"n={n}: d2<={r.max_second_difference:.2e}, f''<={r.max_closed_form:.2e}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bectension import analytic, solver
-from bectension.grid import Grid1D, ProfilePair
+from bectension.grid import ProfilePair
 
 SQRT2 = math.sqrt(2.0)
 
@@ -186,45 +186,17 @@ class TestSigmaBracket:
         assert fit[0] == pytest.approx(-0.25, abs=0.05)
 
 
-class TestSmallBetaStretch:
-    @staticmethod
-    def ramp_source(half_width=5.0, h=0.01):
-        g = Grid1D.from_spacing(half_width, h)
-        phi = np.clip(0.5 * math.pi * (g.nodes + 1.0), 0.0, math.pi)
-        return ProfilePair(g, np.ones(g.n_points), phi)
-
-    def test_reaches_pi_at_construction_endpoint(self):
-        beta = 0.01
-        out = analytic.small_beta_stretch(self.ramp_source(), beta)
-        t = out.grid.nodes
-        assert out.phi[np.searchsorted(t, 2.0 / math.sqrt(beta))] == pytest.approx(math.pi)
-        assert np.all(out.phi[t >= 2.0 / math.sqrt(beta)] == math.pi)
-
-    def test_monotone_for_monotone_source(self):
-        out = analytic.small_beta_stretch(self.ramp_source(), 1e-3)
-        assert np.all(np.diff(out.phi) >= -1e-12)
-
-    def test_energy_increment_bound(self):
-        # frozen from a first verified run: the ramp source adds beta/8, so
-        # the increment never exceeds 0.05*sqrt(beta) on this range
-        src = self.ramp_source()
-        e0 = solver.discrete_energy(src, 1e-30).total  # coupling negligible: beta=0 energy
-        for beta in [1e-4, 1e-3, 1e-2]:
-            out = analytic.small_beta_stretch(src, beta)
-            e = solver.discrete_energy(out, beta).total
-            assert e <= e0 + 0.05 * math.sqrt(beta)
-
-    def test_flat_source_certificate(self):
-        # the zero-cost source behind the frozen weak-coupling constant
-        g = Grid1D.from_spacing(5.0, 0.01)
-        src = ProfilePair(g, np.ones(g.n_points), np.full(g.n_points, math.pi / 2.0))
+class TestKinkCertificate:
+    def test_kink_pair_costs_half_sqrt_beta(self):
+        # v = 1, phi = 2 arctan(exp(sqrt(beta) t)) has phi' = sqrt(beta) sin(phi),
+        # so its continuum energy is exactly sqrt(beta)/2: it certifies the
+        # weak-coupling constant with a factor-2 margin
         from bectension.asymptotics import SMALL_BETA_COEFF
 
-        for beta in [1e-4, 1e-2]:
-            out = analytic.small_beta_stretch(src, beta)
-            e = solver.discrete_energy(out, beta).total
-            assert e <= SMALL_BETA_COEFF * math.sqrt(beta)
-
-    def test_zero_beta_rejected(self):
-        with pytest.raises(ValueError):
-            analytic.small_beta_stretch(self.ramp_source(), 0.0)
+        for beta in [1e-4, 1e-3, 1e-2]:
+            g = solver.default_grid(beta)
+            phi = 2.0 * np.arctan(np.exp(math.sqrt(beta) * g.nodes))
+            phi[0], phi[-1] = 0.0, math.pi
+            e = solver.discrete_energy(ProfilePair(g, np.ones(g.n_points), phi), beta).total
+            assert e == pytest.approx(0.5 * math.sqrt(beta), rel=1e-3)
+            assert e < SMALL_BETA_COEFF * math.sqrt(beta)

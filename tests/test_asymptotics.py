@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -59,11 +60,23 @@ class TestBetaSweep:
 
     def test_sigma_nondecreasing_and_bracketed(self):
         table = asymptotics.beta_sweep([0.1, 1.0, 10.0])
-        sigmas = table.column("sigma")
+        sigmas = np.array([r.sigma for r in table.rows])
         assert np.all(np.diff(sigmas) > 0.0)
         h = 0.01
         for row in table.rows:
             assert row.lower - h <= row.sigma <= row.upper + h
+
+    def test_repeated_beta_solved_once(self, monkeypatch, beta1_result):
+        calls = []
+
+        def counting_solve(beta, config=None):
+            calls.append(beta)
+            return beta1_result
+
+        monkeypatch.setattr(solver, "solve", counting_solve)
+        table = asymptotics.beta_sweep([1.0, 1.0, 1.0])
+        assert calls == [1.0]
+        assert len(table) == 1
 
     def test_failures_carry_partial_table(self):
         bad = solver.SolverConfig(half_width=5.0, spacing=0.05,
@@ -131,4 +144,4 @@ def test_csv_rows_schema():
     table = synthetic_table([2.0, 1.0], lambda b: b, lambda b: b)
     rows = asymptotics.sweep_csv_rows(table)
     assert [r["beta"] for r in rows] == [1.0, 2.0]  # sorted ascending
-    assert list(rows[0].keys()) == asymptotics.SWEEP_COLUMNS
+    assert list(rows[0].keys()) == [f.name for f in dataclasses.fields(asymptotics.SweepRow)]

@@ -72,6 +72,12 @@ class TestValidation:
         ["sweep", "--betas", "1:inf:3-log"],
         ["sweep", "--betas", "nan:10:3-log"],
         ["sigma", "--beta", "1", "--spacing", "0.1", "--n-points", "201"],
+        ["sigma", "--beta", "1", "--half-width", "inf"],
+        ["sigma", "--beta", "1", "--grad-tol", "nan"],
+        ["sigma", "--beta", "1", "--grad-tol", "inf"],
+        ["gamma", "--beta", "1", "--eps-list", ","],
+        ["gamma", "--beta", "1", "--eps-list", "0.04", "--alpha1", "1.5"],
+        ["tf", "--dim", "1", "--alpha", "1.5"],
     ])
     def test_bad_input_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -152,16 +158,6 @@ class TestSweep:
         assert lines[0].startswith("beta,sigma,inf_v,")
         assert "sweep: 3 rows" in err
 
-    def test_empty_table_header_only(self):
-        import io
-        from contextlib import redirect_stdout
-        from bectension import asymptotics
-
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            cli.emit([], "csv", None, columns=asymptotics.SWEEP_COLUMNS)
-        assert buf.getvalue() == ",".join(asymptotics.SWEEP_COLUMNS) + "\n"
-
 
 class TestTf:
     def test_dimension_three_report(self, capsys):
@@ -171,6 +167,28 @@ class TestTf:
         assert doc["broken"] is True
         assert doc["ratio"] == pytest.approx(1.86, abs=0.02)
         assert doc["concavity_pass"] is True
+
+    # 17-digit rows of the default tf report; they pin lambda, the split
+    # radius and the discriminant of each dimension bit for bit
+    GOLDEN = {
+        1: "1,0.90856029641606983,0.5,0.34729635533358305,1.1662287860599907,"
+           "0.70710678118654757,0.34729635533358305,1.1662287860599907,"
+           "0.70710678118654757,1.6492965660759495,true,false,true",
+        2: "2,0.89324384173800231,0.5,0.5411961001459531,1.2135729614994055,"
+           "0.70710678118654746,0.5411961001459531,1.2135729614994055,"
+           "0.70710678118654746,1.7162513410817413,true,true,true",
+        3: "3,0.90192469844133605,0.5,0.6431387821635326,1.3132723457335238,"
+           "0.70710678118654757,0.6431387821635326,1.3132723457335238,"
+           "0.70710678118654757,1.8572475624258775,true,false,true",
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_golden_csv(self, capsys, dim):
+        code, out, _ = run_cli(capsys, "tf", "--dim", str(dim))
+        assert code == 0
+        assert out == ("dim,lambda,alpha,radius_alpha,f_alpha,candidate_alpha,split_radius,"
+                       "radial_min,candidate,ratio,broken,derived_from_citation,concavity_pass\n"
+                       + self.GOLDEN[dim] + "\n")
 
     def test_alpha_validation(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,9 +16,14 @@ def eta_005():
     return gp.solve_ground_state(0.05)
 
 
+def l2_norm(state):
+    w = state.grid.trapezoid_weights()
+    return math.sqrt(state.grid.spacing * float(w @ (state.values**2)))
+
+
 class TestGroundState:
     def test_normalized_and_positive(self, eta_005):
-        assert abs(eta_005.norm() - 1.0) <= 1e-10
+        assert abs(l2_norm(eta_005) - 1.0) <= 1e-10
         assert np.all(eta_005.values[1:-1] > 0.0)
         assert eta_005.values[0] == eta_005.values[-1] == 0.0
 
@@ -50,7 +55,7 @@ class TestGroundState:
             gp.solve_ground_state(0.05, tol=0.0)
         state = err.value.result
         assert isinstance(state, gp.GroundState)
-        assert abs(state.norm() - 1.0) <= 1e-12
+        assert abs(l2_norm(state) - 1.0) <= 1e-12
         assert state.iterations > 0
 
     def test_eps_domain(self):
@@ -266,6 +271,17 @@ class TestConstrainedMinimization:
         with pytest.raises(ValueError):
             gp.gamma_table([0.2, 0.1], 1.0, sigma=1.0)  # above desk regime
 
+    def test_gamma_table_rejects_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the input was validated")
+
+        monkeypatch.setattr(solver, "solve", no_solve)
+        monkeypatch.setattr(gp, "solve_ground_state", no_solve)
+        with pytest.raises(ValueError, match="empty"):
+            gp.gamma_table([], 1.0)
+        with pytest.raises(ValueError, match="alpha1"):
+            gp.gamma_table([0.04], 1.0, alpha1=1.5)
+
     def test_csv_rows_schema(self):
         row = gp.GammaRow(eps=0.1, beta=1.0, scaled_energy=2.0, limit_energy=1.0,
                           gap=1.0, mass_res_1=0.0, mass_res_2=0.0)
@@ -283,18 +299,3 @@ class TestConstrainedMinimization:
 def test_non_finite_beta_rejected(call):
     with pytest.raises(ValueError, match="beta"):
         call()
-
-
-def test_profile_dump_with_eta_column(tmp_path, eta_005):
-    from bectension.grid import ProfilePair, dump_profile
-
-    grid = eta_005.grid
-    n = grid.n_points
-    pair = ProfilePair(grid, np.ones(n), np.linspace(0.0, np.pi, n))
-    path = tmp_path / "pair.txt"
-    dump_profile(pair, path, eta=eta_005.values)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# t v phi eta"
-    cols = np.array([line.split() for line in lines[1:]], dtype=float)
-    assert cols.shape == (n, 4)
-    np.testing.assert_array_equal(cols[:, 3], eta_005.values)

@@ -4,16 +4,11 @@ import pytest
 from bectension.grid import Grid1D, ProfilePair, dump_profile
 
 
-def row_at_a_time_dump(pair, path, eta=None):
+def row_at_a_time_dump(pair, path):
     """Reference writer: one row per write, each value through format(x, ".17g")."""
-    cols = [pair.grid.nodes, pair.v, pair.phi]
-    header = "# t v phi"
-    if eta is not None:
-        cols.append(np.asarray(eta, dtype=float))
-        header += " eta"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
+        fh.write("# t v phi\n")
+        for row in zip(pair.grid.nodes, pair.v, pair.phi):
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
@@ -36,17 +31,15 @@ def planted_pair(n_points):
 
 class TestDumpProfile:
     # 8 195 nodes: two full 4 096-row blocks and a partial third of 3 rows
-    @pytest.mark.parametrize("with_eta", [False, True], ids=["t-v-phi", "with-eta"])
-    def test_bytes_match_row_at_a_time_writer(self, tmp_path, with_eta):
+    @pytest.mark.parametrize("columns", ["t v phi"], ids=["t-v-phi"])
+    def test_bytes_match_row_at_a_time_writer(self, tmp_path, columns):
         pair = planted_pair(8195)
-        eta = np.cos(pair.grid.nodes) if with_eta else None
-        if with_eta:
-            eta[100] = -0.0
-        dump_profile(pair, tmp_path / "blocked.txt", eta=eta)
-        row_at_a_time_dump(pair, tmp_path / "rows.txt", eta=eta)
+        dump_profile(pair, tmp_path / "blocked.txt")
+        row_at_a_time_dump(pair, tmp_path / "rows.txt")
         blocked = (tmp_path / "blocked.txt").read_bytes()
         assert blocked == (tmp_path / "rows.txt").read_bytes()
         assert blocked.count(b"\n") == 8196
+        assert blocked.startswith(f"# {columns}\n".encode())
 
     def test_planted_values_read_back_bit_exactly(self, tmp_path):
         pair = planted_pair(8195)
@@ -54,11 +47,3 @@ class TestDumpProfile:
         t, v, phi = np.loadtxt(tmp_path / "dump.txt", unpack=True)
         for got, want in [(t, pair.grid.nodes), (v, pair.v), (phi, pair.phi)]:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    def test_eta_length_mismatch_raises_before_writing(self, tmp_path):
-        grid = Grid1D(1.0, 11)
-        pair = ProfilePair(grid, np.ones(11), np.linspace(0.0, np.pi, 11))
-        path = tmp_path / "dump.txt"
-        with pytest.raises(ValueError, match="5 values.*11 nodes"):
-            dump_profile(pair, path, eta=np.ones(5))
-        assert not path.exists()

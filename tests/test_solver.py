@@ -351,7 +351,8 @@ class TestDiagnosticsAndSymmetry:
         assert d.phi_antisymmetric_error <= 1e-12
 
     def test_symmetrize_improves_degraded_half(self, beta1_result):
-        pair = beta1_result.pair.copy()
+        pair = ProfilePair(beta1_result.grid, beta1_result.pair.v.copy(),
+                           beta1_result.pair.phi.copy())
         right = pair.grid.nodes > 1.0
         pair.v[right] = np.clip(pair.v[right] - 0.2 * np.exp(-(pair.grid.nodes[right] - 3.0) ** 2), 0.0, 1.0)
         pair.v[-1] = 1.0
@@ -397,16 +398,12 @@ class TestGridPolicy:
             Grid1D(-1.0, 201)
         with pytest.raises(ValueError):
             Grid1D.from_spacing(10.0, -0.1)
-
-    def test_pair_box_and_pin_helpers(self):
-        g = small_grid()
-        pair = analytic.test_pair_fields(0.5, 1.0, g)
-        pair.check_boxes()
-        assert pair.is_pinned()
-        bad = pair.copy()
-        bad.v[3] = 1.5
-        with pytest.raises(ValueError):
-            bad.check_boxes()
-        unpinned = pair.copy()
-        unpinned.phi[-1] = 1.0
-        assert not unpinned.is_pinned()
+        for bad in [math.inf, math.nan]:
+            with pytest.raises(ValueError, match="half_width"):
+                Grid1D(bad, 201)
+            with pytest.raises(ValueError, match="half_width"):
+                Grid1D.from_spacing(bad, 0.1)
+            with pytest.raises(ValueError, match="max_spacing"):
+                Grid1D.from_spacing(10.0, bad)
+            with pytest.raises(ValueError, match="grad_tol"):
+                solver.SolverConfig(grad_tol=bad)

@@ -7,7 +7,7 @@ from scipy.integrate import dblquad, quad
 from bectension import tf_geometry as tf
 
 
-MODELS = {n: tf.tf_model(n) for n in (1, 2, 3)}
+MODELS = {n: tf.TFModel(n) for n in (1, 2, 3)}
 
 
 class TestLambda:
@@ -30,6 +30,19 @@ class TestLambda:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             tf.tf_lambda(4)
+
+
+class TestTFModel:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unit_mass_fixed_by_dimension(self, n):
+        m = tf.TFModel(n)
+        assert m.lam == tf.tf_lambda(n)
+        assert abs(tf.ball_mass(1.0, m) - 1.0) <= 1e-15
+
+    def test_light_cloud_cannot_be_built(self):
+        # lam is derived, so no cloud lighter than the mass it is cut at exists
+        with pytest.raises(TypeError):
+            tf.TFModel(1, 0.5)
 
 
 class TestDensity:
@@ -66,17 +79,17 @@ class TestRadiusForMass:
     def test_roundtrip_identity(self, n):
         m = MODELS[n]
         for alpha in np.linspace(0.0, 1.0, 64):
-            split = tf.radius_for_mass(alpha, m)
-            assert tf.ball_mass(split.radius, m) == pytest.approx(alpha, abs=1e-10)
+            R = tf.radius_for_mass(alpha, m)
+            assert tf.ball_mass(R, m) == pytest.approx(alpha, abs=1e-10)
 
     def test_endpoints_exact(self):
         m = MODELS[2]
-        assert tf.radius_for_mass(0.0, m).radius == 0.0
-        assert tf.radius_for_mass(1.0, m).radius == 1.0
+        assert tf.radius_for_mass(0.0, m) == 0.0
+        assert tf.radius_for_mass(1.0, m) == 1.0
 
     def test_half_mass_values(self):
-        assert tf.radius_for_mass(0.5, MODELS[1]).radius == pytest.approx(0.35, abs=0.01)
-        assert tf.radius_for_mass(0.5, MODELS[3]).radius == pytest.approx(0.64, abs=0.01)
+        assert tf.radius_for_mass(0.5, MODELS[1]) == pytest.approx(0.35, abs=0.01)
+        assert tf.radius_for_mass(0.5, MODELS[3]) == pytest.approx(0.64, abs=0.01)
 
 
 class TestRadialEnergy:
@@ -92,7 +105,7 @@ class TestRadialEnergy:
         # of radius lam*R times its surface measure
         m = MODELS[n]
         for alpha in [0.25, 0.5, 0.8]:
-            R = tf.radius_for_mass(alpha, m).radius
+            R = tf.radius_for_mass(alpha, m)
             r_phys = m.lam * R
             rho = m.lam**2 - r_phys**2
             area = tf.sphere_area(n) * r_phys ** (n - 1)
@@ -102,12 +115,12 @@ class TestRadialEnergy:
 
     def test_half_mass_closed_forms(self):
         m1 = MODELS[1]
-        R1 = tf.radius_for_mass(0.5, m1).radius
+        R1 = tf.radius_for_mass(0.5, m1)
         assert tf.radial_energy(0.5, m1) == pytest.approx(
             tf.SIGMA_INFINITY * 2.0 * m1.lam**3 * (1.0 - R1**2) ** 1.5, rel=1e-12
         )
         m3 = MODELS[3]
-        R3 = tf.radius_for_mass(0.5, m3).radius
+        R3 = tf.radius_for_mass(0.5, m3)
         assert tf.radial_energy(0.5, m3) == pytest.approx(
             tf.SIGMA_INFINITY * 4.0 * math.pi * m3.lam**5 * R3**2 * (1.0 - R3**2) ** 1.5,
             rel=1e-12,
@@ -117,7 +130,7 @@ class TestRadialEnergy:
 class TestConcavity:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_grid_concavity(self, n):
-        rep = tf.concavity_report(MODELS[n], 128)
+        rep = tf.concavity_report(MODELS[n])
         assert rep.passed
         assert rep.max_second_difference < 0.0
         assert rep.max_closed_form < 0.0
@@ -151,10 +164,6 @@ class TestConcavity:
         assert 0 < k < len(b1) - 1
         assert min(g[0], g[-1]) == pytest.approx(g.min())
 
-    def test_grid_size_validation(self):
-        with pytest.raises(ValueError):
-            tf.concavity_report(MODELS[1], 8)
-
 
 class TestNonradialCandidate:
     def test_halfline_cut_at_half(self):
@@ -169,11 +178,6 @@ class TestNonradialCandidate:
             t = tf._halfline_cut(alpha, m)
             val, _ = quad(lambda x: m.lam**2 - x * x, -m.lam, t, epsabs=1e-14)
             assert val == pytest.approx(alpha, abs=1e-10)
-
-    def test_halfline_cut_rejects_alpha_above_cloud_mass(self):
-        light = tf.TFModel(1, 0.5)  # cloud mass 4 (0.5)^3 / 3 = 1/6
-        with pytest.raises(ValueError, match=r"alpha 0\.9 exceeds the cloud mass 0\.166667"):
-            tf.nonradial_candidate_energy(0.9, light)
 
     def test_chord_matches_closed_form(self):
         # chord energy has the closed form (3 pi / 8) (lam^2 - d^2)^2 with
