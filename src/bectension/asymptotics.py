@@ -28,6 +28,7 @@ class SweepRow:
     beta: float
     sigma: float
     inf_v: float
+    argmin_v: float
     lower: float
     upper: float
     el_res_v: float
@@ -59,13 +60,14 @@ class SweepError(RuntimeError):
         self.failures = failures
 
 
-def _solve_row(beta: float, config: solver.SolverConfig | None) -> SweepRow:
-    result = solver.solve(beta, config)
-    bracket = analytic.sigma_bracket(beta)
+def _solve_row(result: solver.SurfaceTensionResult) -> SweepRow:
+    """The row of one finished solve: its diagnostics beside the analytic bracket."""
+    bracket = analytic.sigma_bracket(result.beta)
     return SweepRow(
-        beta=beta,
+        beta=result.beta,
         sigma=result.sigma,
         inf_v=result.inf_v,
+        argmin_v=result.argmin_v,
         lower=bracket.lower,
         upper=bracket.upper,
         el_res_v=result.el_residual_v,
@@ -88,7 +90,7 @@ def beta_sweep(betas, config: solver.SolverConfig | None = None) -> SweepTable:
     failures: dict[float, Exception] = {}
     for b in dict.fromkeys(betas):
         try:
-            rows[b] = _solve_row(b, config)
+            rows[b] = _solve_row(solver.solve(b, config))
         except Exception as exc:  # noqa: BLE001 - reported per beta
             failures[b] = exc
     table = SweepTable(list(rows.values()))

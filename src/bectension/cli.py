@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Data (CSV or JSON) goes to stdout or --output; everything human-readable
-goes to stderr.  Exit codes: 0 success, 1 solver or I/O failure, 2 usage.
+Every option is a command-line flag.  Data goes to stdout or --output: CSV
+(header + rows) or, with --format json, a list of row objects.  `sigma`,
+`profile` and `sweep` share one row schema.  Everything human-readable goes
+to stderr.  Exit codes: 0 success, 1 solver or I/O failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +29,7 @@ def _fmt(value) -> str:
 
 
 def emit(rows: list[dict], fmt: str, path: str | None) -> None:
-    """Write rows as CSV (header + rows) or a JSON document.
+    """Write rows as CSV (header + rows) or a JSON list of row objects.
 
     Field order is the dict order of the first row; floats carry 17
     significant digits so parsing reproduces them bit-exactly.
@@ -43,7 +46,7 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
                 return float(v)
             return v
         doc = [{k: clean(v) for k, v in row.items()} for row in rows]
-        text = json.dumps(doc[0] if len(doc) == 1 else doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -68,26 +71,11 @@ def parse_beta_list(text: str) -> list[float]:
     return list(np.logspace(math.log10(a), math.log10(b), n))
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bectension",
         description="Interface surface tension of segregated two-component condensates.",
     )
-    parser.add_argument("--config", help="optional key = value config file; flags override")
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write data here instead of stdout")
@@ -96,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grid_opts = argparse.ArgumentParser(add_help=False)
     grid_opts.add_argument("--half-width", type=float, default=None)
     grid_opts.add_argument("--spacing", type=float, default=None)
-    grid_opts.add_argument("--n-points", type=int, default=None)
     grid_opts.add_argument("--grad-tol", type=float, default=1e-8)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -131,62 +118,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        return
-    values = _read_config_file(known.config)
-    # Push file values as defaults into every subparser that knows the key.
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)  # noqa: SLF001
-    )
-    for sp in subparsers.choices.values():
-        dests = {a.dest: a for a in sp._actions}  # noqa: SLF001
-        overrides = {}
-        for key, val in values.items():
-            if key in dests:
-                action = dests[key]
-                overrides[key] = action.type(val) if action.type is not None else val
-                action.required = False  # the file satisfies the requirement
-        if overrides:
-            sp.set_defaults(**overrides)
-
-
 def _solver_config(args) -> solver.SolverConfig:
     return solver.SolverConfig(
         half_width=args.half_width,
         spacing=args.spacing,
-        n_points=args.n_points,
         grad_tol=args.grad_tol,
     )
 
 
-def _result_row(result: solver.SurfaceTensionResult) -> dict:
-    bracket = analytic.sigma_bracket(result.beta)
-    return {
-        "beta": result.beta,
-        "sigma": result.sigma,
-        "inf_v": result.inf_v,
-        "argmin_v": result.argmin_v,
-        "lower": bracket.lower,
-        "upper": bracket.upper,
-        "el_res_v": result.el_residual_v,
-        "el_res_phi": result.el_residual_phi,
-        "equip_l2": result.equipartition_l2,
-        "iters": result.iterations,
-    }
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    try:
-        _apply_config_defaults(parser, argv)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     args = parser.parse_args(argv)
 
     try:
@@ -198,12 +139,17 @@ def main(argv=None) -> int:
                  args.format, args.output)
             return 0
 
-        if args.command == "sigma":
+        if args.command in ("sigma", "profile"):
             result = solver.solve(args.beta, _solver_config(args))
-            print(f"sigma(beta={args.beta:g}) = {result.sigma:.12g} "
-                  f"(dip {result.inf_v:.6g} at t={result.argmin_v:.6g}, "
-                  f"{result.iterations} iterations)", file=sys.stderr)
-            emit([_result_row(result)], args.format, args.output)
+            if args.command == "profile":
+                dump_profile(result.pair, args.dump)
+                print(f"profile for beta={args.beta:g} written to {args.dump} "
+                      f"({result.grid.n_points} nodes)", file=sys.stderr)
+            else:
+                print(f"sigma(beta={args.beta:g}) = {result.sigma:.12g} "
+                      f"(dip {result.inf_v:.6g} at t={result.argmin_v:.6g}, "
+                      f"{result.iterations} iterations)", file=sys.stderr)
+            emit([asdict(asymptotics._solve_row(result))], args.format, args.output)
             return 0
 
         if args.command == "sweep":
@@ -248,14 +194,6 @@ def main(argv=None) -> int:
                 print(f"eps={row.eps:g}: gap {row.gap:+.6g} "
                       f"({abs(row.gap) / row.limit_energy:.2%} of limit)", file=sys.stderr)
             emit(gp_validation.gamma_csv_rows(rows), args.format, args.output)
-            return 0
-
-        if args.command == "profile":
-            result = solver.solve(args.beta, _solver_config(args))
-            dump_profile(result.pair, args.dump)
-            print(f"profile for beta={args.beta:g} written to {args.dump} "
-                  f"({result.grid.n_points} nodes)", file=sys.stderr)
-            emit([_result_row(result)], args.format, args.output)
             return 0
     except ValueError as exc:  # input rejected where it is used: grid, beta, eps or alpha
         parser.error(str(exc))

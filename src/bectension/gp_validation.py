@@ -304,7 +304,8 @@ def minimize_weighted_pair(
     residuals drop below 1e-6 without an ill-conditioned penalty.  Each
     inner minimization is ``solver.alternating_newton`` on
     ``_PenalizedPair``, the penalty curvature entering each block as
-    low-rank columns.
+    low-rank columns.  If the last inner solve ends above ``INNER_TOL``,
+    ConvergenceError carries the row.
     """
     eps = _check_eps(eps)
     beta = analytic._check_beta(beta)
@@ -340,7 +341,8 @@ def minimize_weighted_pair(
     for stage in range(STAGES):
         tol = max(INNER_TOL, 1e-4 * 10.0 ** (-stage))
         for _ in range(MULTIPLIER_UPDATES):
-            v, phi, _ = solver.alternating_newton(problem, v, phi, frozen, V_HI, tol, INNER_STEPS)
+            v, phi, _, pg = solver.alternating_newton(problem, v, phi, frozen, V_HI, tol,
+                                                      INNER_STEPS)
             c1, c2 = problem.constraints(v, phi)
             problem = replace(problem, lam1=problem.lam1 + problem.mu * c1,
                               lam2=problem.lam2 + problem.mu * c2)
@@ -348,7 +350,7 @@ def minimize_weighted_pair(
 
     scaled = eps * weighted_pair_energy(v, phi, eps, beta, eta).total
     c1, c2 = problem.constraints(v, phi)
-    return GammaRow(
+    row = GammaRow(
         eps=eps,
         beta=beta,
         scaled_energy=scaled,
@@ -360,6 +362,11 @@ def minimize_weighted_pair(
         phi=phi,
         eta=eta,
     )
+    if pg > INNER_TOL:
+        raise solver.ConvergenceError(
+            f"constrained pair stalled at projected gradient {pg:.3e} "
+            f"above {INNER_TOL:.0e} at eps={eps:g}", row)
+    return row
 
 
 def gamma_table(

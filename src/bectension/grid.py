@@ -38,11 +38,11 @@ class Grid1D:
         return 2.0 * self.half_width / (self.n_points - 1)
 
     @classmethod
-    def from_spacing(cls, half_width: float, max_spacing: float) -> "Grid1D":
-        """Smallest odd node count whose spacing does not exceed ``max_spacing``."""
+    def from_spacing(cls, half_width: float, spacing: float) -> "Grid1D":
+        """Smallest odd node count whose spacing does not exceed ``spacing``."""
         require_positive("half_width", half_width)
-        require_positive("max_spacing", max_spacing)
-        n_cells = int(np.ceil(2.0 * half_width / max_spacing))
+        require_positive("spacing", spacing)
+        n_cells = int(np.ceil(2.0 * half_width / spacing))
         if n_cells % 2 == 1:
             n_cells += 1
         return cls(half_width, n_cells + 1)

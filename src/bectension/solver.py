@@ -48,17 +48,11 @@ class EnergyBreakdown:
 @dataclass
 class SolverConfig:
     half_width: float | None = None       # grid override; default depends on beta
-    n_points: int | None = None           # grid override
     spacing: float | None = None          # grid override (target; actual h <= this)
     grad_tol: float = 1e-8                # max-norm of the projected gradient
-    max_iterations: int = 200_000         # budget of Newton half-steps
 
     def __post_init__(self):
-        if self.spacing is not None and self.n_points is not None:
-            raise ValueError("set spacing or n_points, not both")
         require_positive("grad_tol", self.grad_tol)
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
 
 
 @dataclass
@@ -76,9 +70,14 @@ class SurfaceTensionResult:
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the iteration budget is exhausted; carries the best state."""
+    """Raised when an iteration budget is exhausted; ``result`` carries the last state.
 
-    def __init__(self, message: str, result: SurfaceTensionResult):
+    That state is a ``SurfaceTensionResult`` from ``solve``, a
+    ``gp_validation.GroundState`` from the ground-state solve, or a
+    ``gp_validation.GammaRow`` from the constrained pair solve.
+    """
+
+    def __init__(self, message: str, result):
         super().__init__(message)
         self.result = result
 
@@ -291,7 +290,8 @@ def projected_newton(x, lo, hi, fixed, energy, gradient, curvature, tol, max_ste
 # alternating convex refinement
 # ---------------------------------------------------------------------------
 
-BLOCK_STEPS = 40  # Newton steps per block and round
+BLOCK_STEPS = 40          # Newton steps per block and round
+MAX_HALF_STEPS = 200_000  # budget of Newton half-steps of one unit solve
 
 
 def alternating_newton(problem, v, phi, fixed, v_hi, tol, max_steps):
@@ -303,8 +303,8 @@ def alternating_newton(problem, v, phi, fixed, v_hi, tol, max_steps):
     ``projected_newton`` takes.  The boxes are [0, v_hi] and [0, pi];
     rows in ``fixed`` never move.  Each block takes at most BLOCK_STEPS
     steps towards a quarter of ``tol``.  The rounds stop when the max-norm of
-    the projected gradient reaches ``tol``, when neither block moves, or when
-    ``max_steps`` half-steps are spent.  Returns (v, phi, half_steps).
+    the projected gradient reaches ``tol`` or when ``max_steps`` half-steps
+    are spent.  Returns (v, phi, half_steps, final projected-gradient norm).
     """
     block_tol = 0.25 * tol
     steps = 0
@@ -327,24 +327,22 @@ def alternating_newton(problem, v, phi, fixed, v_hi, tol, max_steps):
         steps += s_v
         gv = np.where(fixed, 0.0, problem.gradient(v, phi, "v"))
         gphi = np.where(fixed, 0.0, problem.gradient(v, phi, "phi"))
-        if _projected_gradient_norm(v, phi, gv, gphi, v_hi) <= tol:
+        pg = _projected_gradient_norm(v, phi, gv, gphi, v_hi)
+        if pg <= tol:
             break
-        if s_phi == 0 and s_v == 0:
-            break
-    return v, phi, steps
+    return v, phi, steps, pg
 
 
 def alternating_refine(
     pair: ProfilePair,
     beta: float,
     grad_tol: float = 1e-8,
-    max_steps: int = 200_000,
 ) -> tuple[ProfilePair, int]:
     """Alternate the two convex block subproblems until joint stationarity.
 
     Returns the refined pair and the number of Newton half-steps taken, at
-    most ``max_steps``.  Refuses pairs whose amplitude touches 0 (the angle
-    substitution degenerates there).
+    most ``MAX_HALF_STEPS``.  Refuses pairs whose amplitude touches 0 (the
+    angle substitution degenerates there).
     """
     beta = analytic._check_beta(beta)
     if pair.v.min() <= 0.0:
@@ -352,9 +350,9 @@ def alternating_refine(
     grid = pair.grid
     fixed = np.zeros(grid.n_points, dtype=bool)
     fixed[0] = fixed[-1] = True
-    v, phi, steps = alternating_newton(
+    v, phi, steps, _ = alternating_newton(
         PairEnergy.unit(beta, grid), pair.v.copy(), pair.phi.copy(), fixed, 1.0,
-        grad_tol, max_steps,
+        grad_tol, MAX_HALF_STEPS,
     )
     return ProfilePair(grid, v, phi), steps
 
@@ -524,21 +522,14 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
     beta = analytic._check_beta(beta)
     config = config or SolverConfig()
 
-    if config.n_points is not None or config.half_width is not None or config.spacing is not None:
-        base = default_grid(beta)
-        half_width = config.half_width if config.half_width is not None else base.half_width
-        if config.n_points is not None:
-            grid = Grid1D(half_width, config.n_points)
-        else:
-            spacing = config.spacing if config.spacing is not None else base.spacing
-            grid = Grid1D.from_spacing(half_width, spacing)
-    else:
-        grid = default_grid(beta)
+    grid = default_grid(beta)
+    if config.half_width is not None or config.spacing is not None:
+        grid = Grid1D.from_spacing(
+            grid.half_width if config.half_width is None else config.half_width,
+            grid.spacing if config.spacing is None else config.spacing,
+        )
 
-    pair, steps = alternating_refine(
-        initial_pair(beta, grid), beta,
-        grad_tol=config.grad_tol, max_steps=config.max_iterations,
-    )
+    pair, steps = alternating_refine(initial_pair(beta, grid), beta, grad_tol=config.grad_tol)
     gv, gphi = discrete_gradient(pair, beta)
     pg = _projected_gradient_norm(pair.v, pair.phi, gv, gphi)
     result = _result_from_pair(pair, beta, steps)

@@ -10,7 +10,7 @@ from bectension import analytic, asymptotics, solver
 def synthetic_table(betas, sigma_fn, inf_v_fn):
     rows = [
         asymptotics.SweepRow(
-            beta=b, sigma=sigma_fn(b), inf_v=inf_v_fn(b),
+            beta=b, sigma=sigma_fn(b), inf_v=inf_v_fn(b), argmin_v=0.0,
             lower=0.0, upper=1.0, el_res_v=0.0, el_res_phi=0.0,
             equip_l2=0.0, iters=1,
         )
@@ -78,9 +78,9 @@ class TestBetaSweep:
         assert calls == [1.0]
         assert len(table) == 1
 
-    def test_failures_carry_partial_table(self):
-        bad = solver.SolverConfig(half_width=5.0, spacing=0.05,
-                                  max_iterations=2, grad_tol=1e-14)
+    def test_failures_carry_partial_table(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_HALF_STEPS", 2)
+        bad = solver.SolverConfig(half_width=5.0, spacing=0.05, grad_tol=1e-14)
         with pytest.raises(asymptotics.SweepError) as err:
             asymptotics.beta_sweep([1.0, 2.0], bad)
         assert set(err.value.failures) == {1.0, 2.0}

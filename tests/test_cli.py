@@ -36,8 +36,8 @@ class TestBounds:
         assert code == 0
         doc = json.loads(out)
         br = analytic.sigma_bracket(3.7)
-        assert doc["lower"] == br.lower
-        assert doc["upper"] == br.upper
+        assert doc[0]["lower"] == br.lower
+        assert doc[0]["upper"] == br.upper
 
     def test_csv_roundtrip_bit_exact(self, capsys):
         _, out, _ = run_cli(capsys, "bounds", "--beta", "3.7")
@@ -71,7 +71,7 @@ class TestValidation:
         ["gamma", "--beta", "1", "--eps-list", "0.02,0.04"],
         ["sweep", "--betas", "1:inf:3-log"],
         ["sweep", "--betas", "nan:10:3-log"],
-        ["sigma", "--beta", "1", "--spacing", "0.1", "--n-points", "201"],
+        ["sigma", "--beta", "1", "--spacing", "nan"],
         ["sigma", "--beta", "1", "--half-width", "inf"],
         ["sigma", "--beta", "1", "--grad-tol", "nan"],
         ["sigma", "--beta", "1", "--grad-tol", "inf"],
@@ -86,6 +86,7 @@ class TestValidation:
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
         assert "Traceback" not in err
+        assert "max_spacing" not in err  # errors name the flag the user typed
 
     def test_unwritable_output(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--beta", "1",
@@ -158,15 +159,35 @@ class TestSweep:
         assert lines[0].startswith("beta,sigma,inf_v,")
         assert "sweep: 3 rows" in err
 
+    def test_sweep_and_sigma_share_schema(self, capsys):
+        _, sweep_out, _ = run_cli(capsys, "sweep", "--betas", "1:1:1-log", *FAST_GRID)
+        _, sigma_out, _ = run_cli(capsys, "sigma", "--beta", "1", *FAST_GRID)
+        assert sweep_out.splitlines()[0] == sigma_out.splitlines()[0]
+        assert sweep_out == sigma_out  # one beta: the same solve gives the same row
+
+
+class TestJson:
+    def test_one_row_is_a_list(self, capsys):
+        _, out, _ = run_cli(capsys, "bounds", "--beta", "1", "--format", "json")
+        doc = json.loads(out)
+        assert isinstance(doc, list) and len(doc) == 1 and doc[0]["beta"] == 1.0
+
+    def test_two_rows_are_a_list(self, capsys):
+        _, out, _ = run_cli(capsys, "sweep", "--betas", "0.5:2:2-log", "--format", "json",
+                            *FAST_GRID)
+        doc = json.loads(out)
+        assert isinstance(doc, list) and [row["beta"] for row in doc] == pytest.approx([0.5, 2.0])
+        assert all("argmin_v" in row for row in doc)
+
 
 class TestTf:
     def test_dimension_three_report(self, capsys):
         code, out, _ = run_cli(capsys, "tf", "--dim", "3", "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert doc["broken"] is True
-        assert doc["ratio"] == pytest.approx(1.86, abs=0.02)
-        assert doc["concavity_pass"] is True
+        assert doc[0]["broken"] is True
+        assert doc[0]["ratio"] == pytest.approx(1.86, abs=0.02)
+        assert doc[0]["concavity_pass"] is True
 
     # 17-digit rows of the default tf report; they pin lambda, the split
     # radius and the discriminant of each dimension bit for bit
@@ -206,28 +227,6 @@ class TestGamma:
         assert len(lines) == 3
         gaps = [abs(float(line.split(",")[4])) for line in lines[1:]]
         assert gaps[1] < gaps[0]
-
-
-class TestConfigFile:
-    def test_file_provides_defaults(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("beta = 2.0\nformat = json\n")
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "bounds")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["beta"] == 2.0
-
-    def test_flags_override_file(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("beta = 2.0\n")
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "bounds", "--beta", "5")
-        assert code == 0
-        assert out.splitlines()[1].startswith("5,")
-
-    def test_missing_file(self, capsys):
-        code, _, err = run_cli(capsys, "--config", "/no/such/file", "bounds", "--beta", "1")
-        assert code == 2
-        assert "error" in err
 
 
 class TestImport:

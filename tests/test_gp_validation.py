@@ -282,6 +282,14 @@ class TestConstrainedMinimization:
         with pytest.raises(ValueError, match="alpha1"):
             gp.gamma_table([0.04], 1.0, alpha1=1.5)
 
+    def test_unconverged_inner_solve_raises_with_row(self, monkeypatch):
+        monkeypatch.setattr(gp, "INNER_STEPS", 1)
+        with pytest.raises(solver.ConvergenceError, match="projected gradient") as err:
+            gp.minimize_weighted_pair(0.08, 1.0, sigma=SIGMA_BETA_ONE)
+        row = err.value.result
+        assert isinstance(row, gp.GammaRow)
+        assert row.eps == 0.08 and row.v.shape == row.eta.values.shape
+
     def test_csv_rows_schema(self):
         row = gp.GammaRow(eps=0.1, beta=1.0, scaled_energy=2.0, limit_energy=1.0,
                           gap=1.0, mass_res_1=0.0, mass_res_2=0.0)
