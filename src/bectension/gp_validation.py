@@ -294,7 +294,6 @@ def minimize_weighted_pair(
     alpha1: float = 0.5,
     sigma: float | None = None,
     eta: GroundState | None = None,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GammaRow:
     """Minimize eps * F under both mass constraints; report the limit gap.
 
@@ -304,11 +303,13 @@ def minimize_weighted_pair(
     residuals drop below 1e-6 without an ill-conditioned penalty.  Each
     inner minimization is ``solver.alternating_newton`` on
     ``_PenalizedPair``, the penalty curvature entering each block as
-    low-rank columns.  If the last inner solve ends above ``INNER_TOL``,
-    ConvergenceError carries the row.
+    low-rank columns.  Each call starts cold from the plateau pair at t0.  If
+    the last inner solve ends above ``INNER_TOL``, ConvergenceError carries
+    the row.
     """
     eps = _check_eps(eps)
     beta = analytic._check_beta(beta)
+    t0 = interface_location(alpha1)
     alpha2 = 1.0 - alpha1
     if eta is None:
         eta = solve_ground_state(eps)
@@ -318,16 +319,12 @@ def minimize_weighted_pair(
     x = grid.nodes
     mass = grid.spacing * grid.trapezoid_weights() * eta.values**2
 
-    t0 = interface_location(alpha1)
     rho0 = max(TF_LAMBDA**2 - t0 * t0, 0.0)
     limit_energy = sigma * rho0**1.5
 
-    if start is None:
-        m_bar, _ = analytic.minimize_plateau_objective(beta)
-        T = analytic.optimal_plateau_halfwidth(m_bar, beta)
-        v, phi = analytic.plateau_profiles(m_bar, T, math.sqrt(rho0) * (x - t0) / eps)
-    else:
-        v, phi = start[0].copy(), start[1].copy()
+    m_bar, _ = analytic.minimize_plateau_objective(beta)
+    T = analytic.optimal_plateau_halfwidth(m_bar, beta)
+    v, phi = analytic.plateau_profiles(m_bar, T, math.sqrt(rho0) * (x - t0) / eps)
     v = v / math.sqrt(float(np.sum(mass * v * v)))
 
     # Outside the cloud plus a margin every energy weight has decayed below
@@ -375,7 +372,7 @@ def gamma_table(
     alpha1: float = 0.5,
     sigma: float | None = None,
 ) -> list[GammaRow]:
-    """One constrained solve per eps, warm-started from the previous row.
+    """One independent constrained solve per eps, each from its own cold start.
 
     ``eps_list`` must be nonempty and decreasing with every entry at most 0.1.
     """
@@ -389,22 +386,7 @@ def gamma_table(
     interface_location(alpha1)  # rejects a bad alpha1 before the first solve
     if sigma is None:
         sigma = solver.solve(beta).sigma
-    rows: list[GammaRow] = []
-    prev: GammaRow | None = None
-    for eps in eps_list:
-        eta = solve_ground_state(eps)
-        start = None
-        if prev is not None:
-            x_new = eta.grid.nodes
-            x_old = prev.eta.grid.nodes
-            start = (
-                np.interp(x_new, x_old, prev.v),
-                np.interp(x_new, x_old, prev.phi),
-            )
-        row = minimize_weighted_pair(eps, beta, alpha1=alpha1, sigma=sigma, eta=eta, start=start)
-        rows.append(row)
-        prev = row
-    return rows
+    return [minimize_weighted_pair(eps, beta, alpha1=alpha1, sigma=sigma) for eps in eps_list]
 
 
 def gamma_csv_rows(rows) -> list[dict]:

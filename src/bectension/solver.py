@@ -518,7 +518,10 @@ def _result_from_pair(pair, beta, iterations) -> SurfaceTensionResult:
 
 
 def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResult:
-    """Minimize the transition energy at fixed beta and report diagnostics."""
+    """Minimize the transition energy at fixed beta and report diagnostics.
+
+    A sigma outside ``analytic.sigma_bracket`` (grid too narrow or too coarse) raises ValueError.
+    """
     beta = analytic._check_beta(beta)
     config = config or SolverConfig()
 
@@ -539,4 +542,10 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
             f"after {steps} Newton half-steps",
             result,
         )
+    bracket = analytic.sigma_bracket(beta)
+    if not bracket.lower <= result.sigma <= bracket.upper:
+        raise ValueError(
+            f"sigma {result.sigma:.6g} outside the analytic bracket [{bracket.lower:.6g}, "
+            f"{bracket.upper:.6g}] at beta={beta:g}: grid half_width={grid.half_width:g}, "
+            f"spacing={grid.spacing:g} is too narrow or too coarse")
     return result

@@ -75,6 +75,7 @@ class TestValidation:
         ["sigma", "--beta", "1", "--half-width", "inf"],
         ["sigma", "--beta", "1", "--grad-tol", "nan"],
         ["sigma", "--beta", "1", "--grad-tol", "inf"],
+        ["sigma", "--beta", "1", "--half-width", "0.5"],  # sigma 1.049 above its bracket
         ["gamma", "--beta", "1", "--eps-list", ","],
         ["gamma", "--beta", "1", "--eps-list", "0.04", "--alpha1", "1.5"],
         ["tf", "--dim", "1", "--alpha", "1.5"],
@@ -87,6 +88,12 @@ class TestValidation:
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
         assert "Traceback" not in err
         assert "max_spacing" not in err  # errors name the flag the user typed
+
+    def test_grid_too_narrow_fails_sweep_row(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--betas", "1:2:2-log", "--half-width", "0.5")
+        assert code == 1
+        assert out == ""
+        assert "sweep failure" in err
 
     def test_unwritable_output(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--beta", "1",

@@ -249,6 +249,17 @@ class TestConstrainedMinimization:
         assert np.abs(last.v - 1.0)[inner].max() <= 0.05
         assert np.minimum(last.phi, np.pi - last.phi)[inner].max() <= 0.1
 
+    def test_gamma_rows_are_independent_solves(self):
+        # each row is its own cold-start minimization: the same eps gives
+        # the same numbers whichever list it sits in
+        rows = gp.gamma_table([0.08, 0.04], 1.0, sigma=SIGMA_BETA_ONE)
+        for row in rows:
+            alone = gp.minimize_weighted_pair(row.eps, 1.0, sigma=SIGMA_BETA_ONE)
+            assert row.gap == alone.gap
+            assert row.scaled_energy == alone.scaled_energy
+            assert row.mass_res_1 == alone.mass_res_1
+            assert row.mass_res_2 == alone.mass_res_2
+
     def test_minimum_below_recovery_competitor(self):
         # limsup direction at desk scale: the constrained minimum cannot
         # exceed the mass-normalized rescaled-profile competitor
@@ -281,6 +292,15 @@ class TestConstrainedMinimization:
             gp.gamma_table([], 1.0)
         with pytest.raises(ValueError, match="alpha1"):
             gp.gamma_table([0.04], 1.0, alpha1=1.5)
+
+    def test_minimize_rejects_alpha1_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the input was validated")
+
+        monkeypatch.setattr(solver, "solve", no_solve)
+        monkeypatch.setattr(gp, "solve_ground_state", no_solve)
+        with pytest.raises(ValueError, match="alpha1"):
+            gp.minimize_weighted_pair(0.05, 1.0, alpha1=1.5)
 
     def test_unconverged_inner_solve_raises_with_row(self, monkeypatch):
         monkeypatch.setattr(gp, "INNER_STEPS", 1)

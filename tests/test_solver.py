@@ -170,6 +170,23 @@ class TestMinimize:
         assert result.iterations == 3
         assert result.sigma > 0.0
 
+    @pytest.mark.parametrize("beta, config", [
+        (1.0, solver.SolverConfig(half_width=0.5)),    # sigma 1.049 > upper 0.457
+        (1.0, solver.SolverConfig(half_width=1.0)),    # sigma 0.594
+        (1e4, solver.SolverConfig(spacing=0.5)),       # sigma 0.940 > upper 0.923
+    ])
+    def test_sigma_outside_bracket_rejects_grid(self, beta, config):
+        with pytest.raises(ValueError, match="bracket") as err:
+            solver.solve(beta, config)
+        message = str(err.value)
+        assert f"beta={beta:g}" in message
+        assert "half_width=" in message and "spacing=" in message
+
+    def test_narrow_grid_inside_bracket_passes(self):
+        result = solver.solve(1.0, solver.SolverConfig(half_width=2.0))
+        br = analytic.sigma_bracket(1.0)
+        assert br.lower <= result.sigma <= br.upper
+
 
 class TestAlternatingRefine:
     def test_fixed_point(self, beta1_result):
