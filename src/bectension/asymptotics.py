@@ -51,11 +51,11 @@ class SweepTable:
 
 
 class SweepError(RuntimeError):
-    """Some solves failed; carries the partial table and the failed betas."""
+    """Some solves failed; carries the partial table and each failed beta's exception."""
 
     def __init__(self, table: SweepTable, failures: dict):
-        betas = ", ".join(f"{b:g}" for b in sorted(failures))
-        super().__init__(f"sweep failed for beta in {{{betas}}}")
+        reasons = "; ".join(f"beta={b:g}: {failures[b]}" for b in sorted(failures))
+        super().__init__(f"sweep failed for {len(failures)} beta value(s): {reasons}")
         self.table = table
         self.failures = failures
 

@@ -3,7 +3,7 @@
 Every option is a command-line flag.  Data goes to stdout or --output: CSV
 (header + rows) or, with --format json, a list of row objects.  `sigma`,
 `profile` and `sweep` share one row schema.  Everything human-readable goes
-to stderr.  Exit codes: 0 success, 1 solver or I/O failure, 2 usage.
+to stderr.  Exit codes: 0 success, 1 solver, I/O or memory failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -205,6 +205,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a grid too fine for memory
+        print(f"memory failure: {exc}", file=sys.stderr)
         return 1
     return 2  # unreachable: subcommands are required
 

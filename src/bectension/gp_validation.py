@@ -250,42 +250,61 @@ class _PenalizedPair:
     lam2: float
     mu: float
 
-    def constraints(self, v, phi) -> tuple[float, float]:
-        m = self.mass * v * v
-        return float(np.sum(m)) - 1.0, float(np.sum(m * np.cos(phi))) - self.target2
+    def constraints(self, mv2, cos_phi) -> tuple[float, float]:
+        """c1 and c2 from m v^2 per node and cos(phi)."""
+        return float(np.sum(mv2)) - 1.0, float(np.sum(mv2 * cos_phi)) - self.target2
 
-    def energy(self, v, phi) -> float:
-        c1, c2 = self.constraints(v, phi)
-        return (self.pair.energy(v, phi) + self.lam1 * c1 + self.lam2 * c2
+    def _penalized(self, energy: float, c1: float, c2: float) -> float:
+        return (energy + self.lam1 * c1 + self.lam2 * c2
                 + 0.5 * self.mu * (c1 * c1 + c2 * c2))
 
-    def _forces(self, v, phi):
-        c1, c2 = self.constraints(v, phi)
-        return self.lam1 + self.mu * c1, self.lam2 + self.mu * c2
+    def phi_block(self, v) -> solver.Block:
+        """The penalized objective in phi at frozen v; m v^2 computed once."""
+        block = self.pair.phi_block(v)
+        mv2 = self.mass * v * v
 
-    def gradient(self, v, phi, block: str):
-        q1, q2 = self._forces(v, phi)
-        g = self.pair.gradient(v, phi, block)
-        if block == "v":
-            g += 2.0 * self.mass * v * (q1 + q2 * np.cos(phi))
-        else:
+        def energy(phi):
+            return self._penalized(block.energy(phi), *self.constraints(mv2, np.cos(phi)))
+
+        def gradient(phi):
+            q2 = self.lam2 + self.mu * self.constraints(mv2, np.cos(phi))[1]
+            g = block.gradient(phi)
             g -= q2 * self.mass * v * v * np.sin(phi)
-        return g
+            return g
 
-    def curvature(self, v, phi, block: str):
-        q1, q2 = self._forces(v, phi)
-        kin, off, pot, _ = self.pair.curvature(v, phi, block)
-        root_mu = math.sqrt(self.mu)
-        cos_phi = np.cos(phi)
-        if block == "v":
-            pot += 2.0 * self.mass * (q1 + q2 * cos_phi)
-            mv = 2.0 * root_mu * self.mass * v
-            cols = (mv, mv * cos_phi)
-        else:
-            mv2 = self.mass * v * v
+        def curvature(phi):
+            cos_phi = np.cos(phi)
+            q2 = self.lam2 + self.mu * self.constraints(mv2, cos_phi)[1]
+            kin, off, pot, _ = block.curvature(phi)
             pot -= q2 * mv2 * cos_phi
-            cols = (-root_mu * mv2 * np.sin(phi),)
-        return kin, off, pot, cols
+            return kin, off, pot, (-math.sqrt(self.mu) * mv2 * np.sin(phi),)
+
+        return solver.Block(energy, gradient, curvature)
+
+    def v_block(self, phi) -> solver.Block:
+        """The penalized objective in v at frozen phi; cos(phi) computed once."""
+        block = self.pair.v_block(phi)
+        cos_phi = np.cos(phi)
+
+        def energy(v):
+            return self._penalized(block.energy(v), *self.constraints(self.mass * v * v, cos_phi))
+
+        def force(v):  # q1 + q2 cos(phi)
+            c1, c2 = self.constraints(self.mass * v * v, cos_phi)
+            return (self.lam1 + self.mu * c1) + (self.lam2 + self.mu * c2) * cos_phi
+
+        def gradient(v):
+            g = block.gradient(v)
+            g += 2.0 * self.mass * v * force(v)
+            return g
+
+        def curvature(v):
+            kin, off, pot, _ = block.curvature(v)
+            pot += 2.0 * self.mass * force(v)
+            mv = 2.0 * math.sqrt(self.mu) * self.mass * v
+            return kin, off, pot, (mv, mv * cos_phi)
+
+        return solver.Block(energy, gradient, curvature)
 
 
 def minimize_weighted_pair(
@@ -340,13 +359,13 @@ def minimize_weighted_pair(
         for _ in range(MULTIPLIER_UPDATES):
             v, phi, _, pg = solver.alternating_newton(problem, v, phi, frozen, V_HI, tol,
                                                       INNER_STEPS)
-            c1, c2 = problem.constraints(v, phi)
+            c1, c2 = problem.constraints(mass * v * v, np.cos(phi))
             problem = replace(problem, lam1=problem.lam1 + problem.mu * c1,
                               lam2=problem.lam2 + problem.mu * c2)
         problem = replace(problem, mu=10.0 * problem.mu)
 
     scaled = eps * weighted_pair_energy(v, phi, eps, beta, eta).total
-    c1, c2 = problem.constraints(v, phi)
+    c1, c2 = problem.constraints(mass * v * v, np.cos(phi))
     row = GammaRow(
         eps=eps,
         beta=beta,

@@ -17,15 +17,23 @@ and v^2.  Every Newton step solves one banded system (boundary rows pinned)
 and backtracks along the projected arc, falling back to -P grad E when the
 Newton direction does not descend; energy never increases across a
 half-step.  ``alternating_newton`` is the driver both problems share.
+
+Each half-step works on a block objective, ``PairEnergy.phi_block(v)`` or
+``v_block(phi)``, which computes every factor of the frozen field once.  Only
+a subexpression evaluated first in the two-field formula is hoisted (a whole
+term, a left-associative prefix, an argument of sin or cos), so a block's
+energy is the same float as ``PairEnergy.terms(v, phi).total`` and the value
+carried from one block to the next is exact.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from . import analytic
 from .grid import Grid1D, ProfilePair, require_positive
@@ -121,72 +129,92 @@ class PairEnergy:
         n = grid.n_points
         return cls(beta, grid.spacing, np.ones(n - 1), np.ones(n), grid.trapezoid_weights())
 
-    def terms(self, v, phi) -> EnergyBreakdown:
+    def _v_terms(self, v):
+        """kinetic_v, double_well, and the v factors of kinetic_phi and coupling."""
         h = self.h
         dv = np.diff(v)
-        dphi = np.diff(phi)
         v2 = v * v
         nv2 = self.node * v2
-        return EnergyBreakdown(
-            (self.cell * dv) @ dv / (2.0 * h),
-            0.25 * h * np.sum(self.pot * (1.0 - v2) ** 2),
-            np.sum((nv2[:-1] + nv2[1:]) * dphi * dphi) / (16.0 * h),
-            self.beta * h / 8.0 * np.sum(self.pot * v2 * v2 * np.sin(phi) ** 2),
-        )
+        return ((self.cell * dv) @ dv / (2.0 * h), 0.25 * h * np.sum(self.pot * (1.0 - v2) ** 2),
+                nv2[:-1] + nv2[1:], self.pot * v2 * v2)
 
-    def energy(self, v, phi) -> float:
-        return self.terms(v, phi).total
+    def _terms(self, v_terms, dphi, sin2) -> EnergyBreakdown:
+        kinetic_v, double_well, cells, quartic = v_terms
+        return EnergyBreakdown(kinetic_v, double_well, np.sum(cells * dphi * dphi) / (16.0 * self.h),
+                               self.beta * self.h / 8.0 * np.sum(quartic * sin2))
 
-    def gradient(self, v, phi, block: str):
-        """Exact gradient of one block (``"v"`` or ``"phi"``), pinned rows included."""
+    def terms(self, v, phi) -> EnergyBreakdown:
+        return self._terms(self._v_terms(v), np.diff(phi), np.sin(phi) ** 2)
+
+    def phi_block(self, v) -> Block:
+        """The energy in phi at frozen v.  ``curvature`` is the exact block
+        Hessian, tridiagonal since neighbouring nodes of one field couple only
+        through its kinetic term; ``pot`` holds every diagonal term that can
+        turn negative, for the kernel's shift.
+        """
+        h = self.h
+        v_terms = self._v_terms(v)
+        v2 = v * v
+        force = 0.25 * self.beta * h * self.pot * v2 * v2
+
+        def energy(phi):
+            return self._terms(v_terms, np.diff(phi), np.sin(phi) ** 2).total
+
+        def gradient(phi):
+            flux = v_terms[2] * np.diff(phi) / (8.0 * h)
+            g = _scatter(np.zeros(phi.size), -flux, flux)
+            g += force * np.sin(phi) * np.cos(phi)
+            return g
+
+        def curvature(phi):
+            a = v_terms[2] / (8.0 * h)
+            return _scatter(np.zeros(phi.size), a, a), -a, force * np.cos(2.0 * phi), ()
+
+        return Block(energy, gradient, curvature)
+
+    def v_block(self, phi) -> Block:
+        """The energy in v at frozen phi; as ``phi_block``."""
         h, beta, pot = self.h, self.beta, self.pot
         dphi = np.diff(phi)
-        v2 = v * v
+        dphi2 = dphi * dphi
         sin_phi = np.sin(phi)
-        g = np.zeros_like(v)
-        if block == "v":
+        sin2 = sin_phi ** 2
+        a = self.cell / h
+
+        def energy(v):
+            return self._terms(self._v_terms(v), dphi, sin2).total
+
+        def gradient(v):
+            v2 = v * v
             flux = self.cell * np.diff(v) / h
-            g[:-1] -= flux
-            g[1:] += flux
+            g = _scatter(np.zeros(v.size), -flux, flux)
             g -= h * pot * v * (1.0 - v2)
             nv = self.node * v
-            dphi2 = dphi * dphi
-            g[:-1] += nv[:-1] * dphi2 / (8.0 * h)
-            g[1:] += nv[1:] * dphi2 / (8.0 * h)
+            _scatter(g, nv[:-1] * dphi2 / (8.0 * h), nv[1:] * dphi2 / (8.0 * h))
             g += 0.5 * beta * h * pot * v * v2 * sin_phi * sin_phi
-        else:
-            nv2 = self.node * v2
-            flux = (nv2[:-1] + nv2[1:]) * dphi / (8.0 * h)
-            g[:-1] -= flux
-            g[1:] += flux
-            g += 0.25 * beta * h * pot * v2 * v2 * sin_phi * np.cos(phi)
-        return g
+            return g
 
-    def curvature(self, v, phi, block: str):
-        """Exact Hessian of one block as the kernel's model ``(kin, off, pot, ())``.
+        def curvature(v):
+            v2 = v * v
+            diag = h * pot * (3.0 * v2 - 1.0)
+            b = dphi2 / (8.0 * h)
+            _scatter(diag, self.node[:-1] * b, self.node[1:] * b)
+            diag += 1.5 * beta * h * pot * v2 * sin2
+            return _scatter(np.zeros(v.size), a, a), -a, diag, ()
 
-        Diagonal ``kin + pot``, off-diagonal ``off``.  The energy couples
-        neighbouring nodes of one field only through that field's kinetic
-        term, so the block Hessian is tridiagonal; ``pot`` holds every
-        diagonal term that can turn negative, for the kernel's shift.
-        """
-        h, beta = self.h, self.beta
-        v2 = v * v
-        kin = np.zeros(v.size)
-        if block == "v":
-            a = self.cell / h
-            pot = h * self.pot * (3.0 * v2 - 1.0)
-            b = np.diff(phi) ** 2 / (8.0 * h)
-            pot[:-1] += self.node[:-1] * b
-            pot[1:] += self.node[1:] * b
-            pot += 1.5 * beta * h * self.pot * v2 * np.sin(phi) ** 2
-        else:
-            nv2 = self.node * v2
-            a = (nv2[:-1] + nv2[1:]) / (8.0 * h)
-            pot = 0.25 * beta * h * self.pot * v2 * v2 * np.cos(2.0 * phi)
-        kin[:-1] += a
-        kin[1:] += a
-        return kin, -a, pot, ()
+        return Block(energy, gradient, curvature)
+
+
+# One field's objective for ``projected_newton``, the other field frozen.  The
+# gradient includes the pinned rows.
+Block = namedtuple("Block", "energy gradient curvature")
+
+
+def _scatter(x, left, right):
+    """Add ``left`` and ``right`` to the left and right node of each cell of ``x``."""
+    x[:-1] += left
+    x[1:] += right
+    return x
 
 
 def discrete_energy(pair: ProfilePair, beta: float) -> EnergyBreakdown:
@@ -199,8 +227,8 @@ def discrete_gradient(pair: ProfilePair, beta: float):
     """Exact gradient of the discrete energy; pinned boundary entries are zero."""
     beta = analytic._check_beta(beta)
     energy = PairEnergy.unit(beta, pair.grid)
-    gv = energy.gradient(pair.v, pair.phi, "v")
-    gphi = energy.gradient(pair.v, pair.phi, "phi")
+    gv = energy.v_block(pair.phi).gradient(pair.v)
+    gphi = energy.phi_block(pair.v).gradient(pair.phi)
     gv[0] = gv[-1] = 0.0
     gphi[0] = gphi[-1] = 0.0
     return gv, gphi
@@ -224,43 +252,57 @@ def banded_solve(diag, off, fixed, *columns):
     """Solve the symmetric tridiagonal system (diag, off) for every column.
 
     Rows in ``fixed`` are pinned: they decouple from their neighbours and
-    their solution entries are zero.  All columns share one factorization;
-    the result has one column per right-hand side.
+    their solution entries are zero.  All columns share one factorization
+    (LAPACK ``gtsv``); the result has one column per right-hand side.  A
+    singular system raises ``LinAlgError`` and a non-finite solution
+    ``ValueError``, so a NaN in the system never reaches the line search.
     """
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = np.where(fixed[:-1] | fixed[1:], 0.0, off)
-    ab[1] = np.where(fixed, 1.0, diag)
-    ab[2, :-1] = ab[0, 1:]
-    rhs = np.column_stack(columns)
+    lower = np.where(fixed[:-1] | fixed[1:], 0.0, off)
+    rhs = np.array(columns).T  # Fortran order, so gtsv solves in place
     rhs[fixed] = 0.0
-    return solve_banded((1, 1), ab, rhs)
+    # gtsv overwrites both off-diagonals: they must be separate arrays.
+    _, _, _, x, info = dgtsv(lower, np.where(fixed, 1.0, diag), lower.copy(), rhs,
+                             True, True, True, True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    if not np.isfinite(x).all():
+        raise ValueError("tridiagonal system has a non-finite solution")
+    return x
 
 
-def projected_newton(x, lo, hi, fixed, energy, gradient, curvature, tol, max_steps):
-    """Projected damped Newton on one field in the box [lo, hi]; returns (x, steps).
+def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=None):
+    """Projected damped Newton on one field in the box [lo, hi].
 
-    ``energy(x)`` and ``gradient(x)`` evaluate the objective with every other
-    field held fixed.  ``curvature(x)`` returns the model ``(kin, off, pot,
-    cols)``: a tridiagonal part (diagonal ``kin + pot``, off-diagonal
-    ``off``) whose potential diagonal ``pot`` is shifted until it is
-    nonnegative on the free rows, so the model stays positive definite, plus
-    low-rank columns U adding U U^T, folded in by a Woodbury correction.
-    Rows in ``fixed`` never move.  Nodes resting on a box bound stay in the
-    system so one step can detach whole flat regions; the projected arc and
-    the Armijo search take care of any step component leaving the box, with
-    -P grad E as the fallback direction.  The energy never increases.
+    ``objective`` is one block (see ``PairEnergy.phi_block``): ``energy(x)``
+    and ``gradient(x)`` evaluate it with every other field held fixed, and
+    ``curvature(x)`` returns the model ``(kin, off, pot, cols)``: a
+    tridiagonal part (diagonal ``kin + pot``, off-diagonal ``off``) whose
+    potential diagonal ``pot`` is shifted until it is nonnegative on the free
+    rows, so the model stays positive definite, plus low-rank columns U
+    adding U U^T, folded in by a Woodbury correction.  Rows in ``fixed``
+    never move.  Nodes resting on a box bound stay in the system so one step
+    can detach whole flat regions; the projected arc and the Armijo search
+    take care of any step component leaving the box, with -P grad E as the
+    fallback direction.  The energy never increases.
+
+    ``value`` and ``g`` (pinned rows zeroed) are the energy and gradient at
+    ``x`` when the caller has them.  Returns ``(x, steps, value, g)``: ``g``
+    is the gradient at the returned ``x`` when the loop stopped on it
+    (tolerance or stall) and None when the last step moved ``x``.
     """
-    value = energy(x)
+    if value is None:
+        value = objective.energy(x)
     free = ~fixed
     steps = 0
     for _ in range(max_steps):
-        g = np.where(fixed, 0.0, gradient(x))
+        if g is None:
+            g = np.where(fixed, 0.0, objective.gradient(x))
         pg = _projected(x, g, lo, hi)
         if np.abs(pg).max() <= tol:
             break
         steps += 1
 
-        kin, off, pot, cols = curvature(x)
+        kin, off, pot, cols = objective.curvature(x)
         shift = max(0.0, -pot[free].min()) if free.any() else 0.0
         Z = banded_solve(kin + pot + shift, off, fixed, -g, *cols)
         d = Z[:, 0]
@@ -276,14 +318,14 @@ def projected_newton(x, lo, hi, fixed, energy, gradient, curvature, tol, max_ste
         while True:
             x_new = np.clip(x + alpha * d, lo, hi)
             x_new[fixed] = x[fixed]
-            value_new = energy(x_new)
+            value_new = objective.energy(x_new)
             if value_new <= value + 1e-4 * alpha * slope or alpha < 1e-16:
                 break
             alpha *= 0.5
         if value_new > value:  # stalled at machine precision; stay monotone
             break
-        x, value = x_new, value_new
-    return x, steps
+        x, value, g = x_new, value_new, None
+    return x, steps, value, g
 
 
 # ---------------------------------------------------------------------------
@@ -297,36 +339,34 @@ MAX_HALF_STEPS = 200_000  # budget of Newton half-steps of one unit solve
 def alternating_newton(problem, v, phi, fixed, v_hi, tol, max_steps):
     """Alternate projected Newton on phi at fixed v and on v at fixed phi.
 
-    ``problem`` supplies ``energy(v, phi)`` and, per block ``"v"`` or
-    ``"phi"``, ``gradient(v, phi, block)`` and ``curvature(v, phi, block)``,
-    the latter returning the model ``(kin, off, pot, cols)`` that
-    ``projected_newton`` takes.  The boxes are [0, v_hi] and [0, pi];
-    rows in ``fixed`` never move.  Each block takes at most BLOCK_STEPS
-    steps towards a quarter of ``tol``.  The rounds stop when the max-norm of
-    the projected gradient reaches ``tol`` or when ``max_steps`` half-steps
-    are spent.  Returns (v, phi, half_steps, final projected-gradient norm).
+    ``problem`` supplies the blocks ``phi_block(v)`` and ``v_block(phi)``,
+    the objectives ``projected_newton`` takes.  The boxes are [0, v_hi] and
+    [0, pi]; rows in ``fixed`` never move.  Each block takes at most
+    BLOCK_STEPS steps towards a quarter of ``tol`` and starts from the energy
+    the previous block stopped at.  The rounds stop when the max-norm of the
+    projected gradient reaches ``tol`` or when ``max_steps`` half-steps are
+    spent.  Returns (v, phi, half_steps, final projected-gradient norm).
     """
     block_tol = 0.25 * tol
     steps = 0
+    value = gphi = None
+    phi_block = problem.phi_block(v)
     while steps < max_steps:
-        phi, s_phi = projected_newton(
-            phi, 0.0, np.pi, fixed,
-            lambda x: problem.energy(v, x),
-            lambda x: problem.gradient(v, x, "phi"),
-            lambda x: problem.curvature(v, x, "phi"),
-            block_tol, min(BLOCK_STEPS, max_steps - steps),
-        )
+        phi, s_phi, value, _ = projected_newton(
+            phi, 0.0, np.pi, fixed, phi_block, block_tol,
+            min(BLOCK_STEPS, max_steps - steps), value, gphi)
         steps += s_phi
-        v, s_v = projected_newton(
-            v, 0.0, v_hi, fixed,
-            lambda x: problem.energy(x, phi),
-            lambda x: problem.gradient(x, phi, "v"),
-            lambda x: problem.curvature(x, phi, "v"),
-            block_tol, min(BLOCK_STEPS, max_steps - steps),
-        )
+        del phi_block  # one block's arrays alive at a time
+        v_block = problem.v_block(phi)
+        v, s_v, value, gv = projected_newton(
+            v, 0.0, v_hi, fixed, v_block, block_tol,
+            min(BLOCK_STEPS, max_steps - steps), value)
         steps += s_v
-        gv = np.where(fixed, 0.0, problem.gradient(v, phi, "v"))
-        gphi = np.where(fixed, 0.0, problem.gradient(v, phi, "phi"))
+        if gv is None:
+            gv = np.where(fixed, 0.0, v_block.gradient(v))
+        del v_block
+        phi_block = problem.phi_block(v)  # also the next round's phi block
+        gphi = np.where(fixed, 0.0, phi_block.gradient(phi))
         pg = _projected_gradient_norm(v, phi, gv, gphi, v_hi)
         if pg <= tol:
             break

@@ -1,0 +1,111 @@
+"""Reference block formulas: the two-field gradient and curvature of
+``solver.PairEnergy`` and the penalized energy, gradient and curvature of
+``gp_validation._PenalizedPair``, written with both fields as arguments and
+one branch per block.  The block objectives must reproduce them bit for bit,
+so every product keeps the association used here.
+"""
+
+import math
+
+import numpy as np
+
+
+def pair_gradient(e, v, phi, block):
+    h, beta, pot = e.h, e.beta, e.pot
+    dphi = np.diff(phi)
+    v2 = v * v
+    sin_phi = np.sin(phi)
+    g = np.zeros_like(v)
+    if block == "v":
+        flux = e.cell * np.diff(v) / h
+        g[:-1] -= flux
+        g[1:] += flux
+        g -= h * pot * v * (1.0 - v2)
+        nv = e.node * v
+        dphi2 = dphi * dphi
+        g[:-1] += nv[:-1] * dphi2 / (8.0 * h)
+        g[1:] += nv[1:] * dphi2 / (8.0 * h)
+        g += 0.5 * beta * h * pot * v * v2 * sin_phi * sin_phi
+    else:
+        nv2 = e.node * v2
+        flux = (nv2[:-1] + nv2[1:]) * dphi / (8.0 * h)
+        g[:-1] -= flux
+        g[1:] += flux
+        g += 0.25 * beta * h * pot * v2 * v2 * sin_phi * np.cos(phi)
+    return g
+
+
+def pair_curvature(e, v, phi, block):
+    h, beta = e.h, e.beta
+    v2 = v * v
+    kin = np.zeros(v.size)
+    if block == "v":
+        a = e.cell / h
+        pot = h * e.pot * (3.0 * v2 - 1.0)
+        b = np.diff(phi) ** 2 / (8.0 * h)
+        pot[:-1] += e.node[:-1] * b
+        pot[1:] += e.node[1:] * b
+        pot += 1.5 * beta * h * e.pot * v2 * np.sin(phi) ** 2
+    else:
+        nv2 = e.node * v2
+        a = (nv2[:-1] + nv2[1:]) / (8.0 * h)
+        pot = 0.25 * beta * h * e.pot * v2 * v2 * np.cos(2.0 * phi)
+    kin[:-1] += a
+    kin[1:] += a
+    return kin, -a, pot, ()
+
+
+def penalized_constraints(p, v, phi):
+    m = p.mass * v * v
+    return float(np.sum(m)) - 1.0, float(np.sum(m * np.cos(phi))) - p.target2
+
+
+def penalized_energy(p, v, phi):
+    c1, c2 = penalized_constraints(p, v, phi)
+    return (p.pair.terms(v, phi).total + p.lam1 * c1 + p.lam2 * c2
+            + 0.5 * p.mu * (c1 * c1 + c2 * c2))
+
+
+def _forces(p, v, phi):
+    c1, c2 = penalized_constraints(p, v, phi)
+    return p.lam1 + p.mu * c1, p.lam2 + p.mu * c2
+
+
+def penalized_gradient(p, v, phi, block):
+    q1, q2 = _forces(p, v, phi)
+    g = pair_gradient(p.pair, v, phi, block)
+    if block == "v":
+        g += 2.0 * p.mass * v * (q1 + q2 * np.cos(phi))
+    else:
+        g -= q2 * p.mass * v * v * np.sin(phi)
+    return g
+
+
+def penalized_curvature(p, v, phi, block):
+    q1, q2 = _forces(p, v, phi)
+    kin, off, pot, _ = pair_curvature(p.pair, v, phi, block)
+    root_mu = math.sqrt(p.mu)
+    cos_phi = np.cos(phi)
+    if block == "v":
+        pot += 2.0 * p.mass * (q1 + q2 * cos_phi)
+        mv = 2.0 * root_mu * p.mass * v
+        cols = (mv, mv * cos_phi)
+    else:
+        mv2 = p.mass * v * v
+        pot -= q2 * mv2 * cos_phi
+        cols = (-root_mu * mv2 * np.sin(phi),)
+    return kin, off, pot, cols
+
+
+def assert_blocks_match(problem, v, phi, energy, gradient, curvature):
+    """Each block of ``problem`` at (v, phi) equals the references bit for bit."""
+    blocks = {"v": (problem.v_block(phi), v), "phi": (problem.phi_block(v), phi)}
+    for name, (block, x) in blocks.items():
+        assert block.energy(x) == energy(problem, v, phi)
+        np.testing.assert_array_equal(block.gradient(x), gradient(problem, v, phi, name))
+        got, want = block.curvature(x), curvature(problem, v, phi, name)
+        for a, b in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(a, b)
+        assert len(got[3]) == len(want[3])
+        for a, b in zip(got[3], want[3]):
+            np.testing.assert_array_equal(a, b)

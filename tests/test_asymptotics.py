@@ -85,6 +85,8 @@ class TestBetaSweep:
             asymptotics.beta_sweep([1.0, 2.0], bad)
         assert set(err.value.failures) == {1.0, 2.0}
         assert len(err.value.table) == 0
+        for beta in (1.0, 2.0):
+            assert f"beta={beta:g}: {err.value.failures[beta]}" in str(err.value)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,19 @@ class TestValidation:
         assert code == 1
         assert out == ""
         assert "sweep failure" in err
+        for beta in ("1", "2"):  # each beta with its reason
+            assert f"beta={beta}: sigma" in err
+        assert err.count("outside the analytic bracket") == 2
+
+    def test_memory_error_is_one_line(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(solver, "solve", out_of_memory)
+        code, out, err = run_cli(capsys, "sigma", "--beta", "1", "--spacing", "1e-9")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["memory failure: Unable to allocate 298. GiB for an array"]
 
     def test_unwritable_output(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--beta", "1",

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from bectension import analytic, solver
 from bectension import gp_validation as gp
 from bectension.grid import Grid1D
+from tests import reference_blocks as ref
 
 SIGMA_BETA_ONE = 0.3874873242966853  # frozen default-grid value, see test_solver
 
@@ -123,17 +124,18 @@ class TestWeightedPairDerivatives:
     def test_gradient_matches_central_differences(self, eta_005, beta):
         energy = gp._weighted_energy(eta_005, self.EPS, beta)
         f = self.fields(eta_005)
-        assert energy.energy(f["v"], f["phi"]) == gp.weighted_pair_energy(
+        assert energy.terms(f["v"], f["phi"]).total == gp.weighted_pair_energy(
             f["v"], f["phi"], self.EPS, beta, eta_005).total
-        grad = {b: energy.gradient(f["v"], f["phi"], b) for b in f}
+        grad = {"v": energy.v_block(f["phi"]).gradient(f["v"]),
+                "phi": energy.phi_block(f["v"]).gradient(f["phi"])}
         scale = max(np.abs(g).max() for g in grad.values())
         for block, field in f.items():
             for i in self.probe_nodes(eta_005):
                 orig = field[i]
                 field[i] = orig + self.H_FD
-                ep = energy.energy(f["v"], f["phi"])
+                ep = energy.terms(f["v"], f["phi"]).total
                 field[i] = orig - self.H_FD
-                em = energy.energy(f["v"], f["phi"])
+                em = energy.terms(f["v"], f["phi"]).total
                 field[i] = orig
                 assert abs(grad[block][i] - (ep - em) / (2.0 * self.H_FD)) <= 1e-6 * scale
 
@@ -143,22 +145,55 @@ class TestWeightedPairDerivatives:
         # the exact Hessian of each block, which is tridiagonal
         energy = gp._weighted_energy(eta_005, self.EPS, beta)
         f = self.fields(eta_005)
-        for block, field in f.items():
-            kin, off, pot, cols = energy.curvature(f["v"], f["phi"], block)
+        blocks = {"v": energy.v_block(f["phi"]), "phi": energy.phi_block(f["v"])}
+        for name, field in f.items():
+            block = blocks[name]
+            kin, off, pot, cols = block.curvature(field)
             assert cols == ()
             diag = kin + pot
             scale = max(np.abs(diag).max(), np.abs(off).max())
             for j in self.probe_nodes(eta_005):
                 orig = field[j]
                 field[j] = orig + self.H_FD
-                gp_ = energy.gradient(f["v"], f["phi"], block)
+                gp_ = block.gradient(field)
                 field[j] = orig - self.H_FD
-                gm = energy.gradient(f["v"], f["phi"], block)
+                gm = block.gradient(field)
                 field[j] = orig
                 model = np.zeros(field.size)
                 model[j - 1:j + 2] = off[j - 1], diag[j], off[j]
                 column = (gp_ - gm) / (2.0 * self.H_FD)
                 assert np.abs(column - model).max() <= 1e-6 * scale
+
+
+    def random_fields(self, eta, rng):
+        f = self.fields(eta)
+        x = eta.grid.nodes
+        wiggle = rng.normal(0.0, 0.05) * np.sin(rng.uniform(3.0, 9.0) * x)
+        return np.clip(f["v"] + wiggle, 0.0, gp.V_HI), np.clip(f["phi"] + wiggle, 0.0, np.pi)
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
+    def test_blocks_match_reference(self, eta_005, beta):
+        energy = gp._weighted_energy(eta_005, self.EPS, beta, scale=self.EPS)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            v, phi = self.random_fields(eta_005, rng)
+            ref.assert_blocks_match(energy, v, phi, lambda e, v, phi: e.terms(v, phi).total,
+                                    ref.pair_gradient, ref.pair_curvature)
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
+    def test_penalized_blocks_match_reference(self, eta_005, beta):
+        grid = eta_005.grid
+        mass = grid.spacing * grid.trapezoid_weights() * eta_005.values**2
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            problem = gp._PenalizedPair(gp._weighted_energy(eta_005, self.EPS, beta, scale=self.EPS),
+                                        mass, rng.uniform(-0.5, 0.5), rng.normal(), rng.normal(),
+                                        10.0 ** rng.uniform(1.0, 4.0))
+            v, phi = self.random_fields(eta_005, rng)
+            ref.assert_blocks_match(problem, v, phi, ref.penalized_energy,
+                                    ref.penalized_gradient, ref.penalized_curvature)
+            c = problem.constraints(mass * v * v, np.cos(phi))
+            assert c == ref.penalized_constraints(problem, v, phi)
 
 
 class TestDecomposition:

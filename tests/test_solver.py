@@ -5,6 +5,7 @@ import pytest
 
 from bectension import analytic, solver
 from bectension.grid import Grid1D, ProfilePair
+from tests import reference_blocks as ref
 
 SQRT2 = math.sqrt(2.0)
 
@@ -106,9 +107,9 @@ class TestDiscreteGradient:
                 for field, grad in ((pair.v, gv), (pair.phi, gphi)):
                     orig = field[i]
                     field[i] = orig + h_fd
-                    ep = energy.energy(pair.v, pair.phi)
+                    ep = energy.terms(pair.v, pair.phi).total
                     field[i] = orig - h_fd
-                    em = energy.energy(pair.v, pair.phi)
+                    em = energy.terms(pair.v, pair.phi).total
                     field[i] = orig
                     fd = (ep - em) / (2.0 * h_fd)
                     assert grad[i] == pytest.approx(fd, rel=1e-6, abs=5e-9)
@@ -126,6 +127,35 @@ class TestDiscreteGradient:
         gv, gphi = solver.discrete_gradient(pair, 1.0)
         pg = solver._projected_gradient_norm(pair.v, pair.phi, gv, gphi)
         assert pg <= 1e-8
+
+
+class TestBlockExactness:
+    """The block objectives repeat the two-field formulas float for float."""
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
+    def test_unit_blocks_match_reference(self, beta):
+        rng = np.random.default_rng(17)
+        g = small_grid()
+        energy = solver.PairEnergy.unit(beta, g)
+        for _ in range(5):
+            pair = random_pair(g, rng)
+            ref.assert_blocks_match(energy, pair.v, pair.phi,
+                                    lambda e, v, phi: e.terms(v, phi).total,
+                                    ref.pair_gradient, ref.pair_curvature)
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
+    def test_block_gradients_are_discrete_gradient(self, beta):
+        rng = np.random.default_rng(19)
+        g = small_grid()
+        energy = solver.PairEnergy.unit(beta, g)
+        for _ in range(5):
+            pair = random_pair(g, rng)
+            gv, gphi = solver.discrete_gradient(pair, beta)
+            inner = slice(1, -1)
+            np.testing.assert_array_equal(energy.v_block(pair.phi).gradient(pair.v)[inner],
+                                          gv[inner])
+            np.testing.assert_array_equal(energy.phi_block(pair.v).gradient(pair.phi)[inner],
+                                          gphi[inner])
 
 
 class TestMinimize:
@@ -220,20 +250,18 @@ class TestAlternatingRefine:
         fixed = np.zeros(g.n_points, dtype=bool)
         fixed[0] = fixed[-1] = True
         v, phi = pair.v.copy(), pair.phi.copy()
-        e_prev = energy.energy(v, phi)
+        e_prev = energy.terms(v, phi).total
         for _ in range(6):
-            phi, _ = solver.projected_newton(
-                phi, 0.0, np.pi, fixed, lambda x: energy.energy(v, x),
-                lambda x: energy.gradient(v, x, "phi"),
-                lambda x: energy.curvature(v, x, "phi"), 1e-12, 5)
-            e = energy.energy(v, phi)
+            phi, _, value, _ = solver.projected_newton(
+                phi, 0.0, np.pi, fixed, energy.phi_block(v), 1e-12, 5)
+            e = energy.terms(v, phi).total
+            assert value == e
             assert e <= e_prev + 1e-15
             e_prev = e
-            v, _ = solver.projected_newton(
-                v, 0.0, 1.0, fixed, lambda x: energy.energy(x, phi),
-                lambda x: energy.gradient(x, phi, "v"),
-                lambda x: energy.curvature(x, phi, "v"), 1e-12, 5)
-            e = energy.energy(v, phi)
+            v, _, value, _ = solver.projected_newton(
+                v, 0.0, 1.0, fixed, energy.v_block(phi), 1e-12, 5)
+            e = energy.terms(v, phi).total
+            assert value == e
             assert e <= e_prev + 1e-15
             e_prev = e
 
@@ -270,13 +298,50 @@ class TestNewtonKernel:
         fixed = np.zeros(n, dtype=bool)
         fixed[[0, 5, -1]] = True
         b1, b2 = rng.normal(size=n), rng.normal(size=n)
+        inputs = [a.copy() for a in (diag, off, b1, b2)]
         Z = solver.banded_solve(diag, off, fixed, b1, b2)
+        for before, after in zip(inputs, (diag, off, b1, b2)):
+            np.testing.assert_array_equal(before, after)  # LAPACK works on copies
         free = ~fixed
         assert Z.shape == (n, 2)
         assert np.all(Z[fixed] == 0.0)
         for k, b in enumerate((b1, b2)):
             expected = np.linalg.solve(dense[np.ix_(free, free)], b[free])
             np.testing.assert_allclose(Z[free, k], expected, rtol=1e-12, atol=1e-14)
+
+    def test_banded_solve_singular_raises(self):
+        n = 6
+        diag, off = np.ones(n), np.zeros(n - 1)
+        diag[3] = 0.0
+        fixed = np.zeros(n, dtype=bool)
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.banded_solve(diag, off, fixed, np.ones(n))
+
+    # An infinite matrix entry is left out: pivoting on it can give a finite
+    # solution, the limit of the system as that entry grows.
+    @pytest.mark.parametrize("where, bad", [("diag", np.nan), ("off", np.nan),
+                                            ("rhs", np.nan), ("rhs", np.inf)])
+    def test_banded_solve_non_finite_raises(self, where, bad):
+        rng = np.random.default_rng(3)
+        n = 10
+        diag, off, _ = self.tridiagonal(n, rng)
+        rhs = rng.normal(size=n)
+        {"diag": diag, "off": off, "rhs": rhs}[where][4] = bad
+        fixed = np.zeros(n, dtype=bool)
+        fixed[0] = fixed[-1] = True
+        with pytest.raises(ValueError, match="non-finite"):
+            solver.banded_solve(diag, off, fixed, rhs)
+
+    def test_nan_curvature_stops_the_solve(self):
+        # without the finiteness check a NaN step passes the Armijo test
+        # (every comparison with NaN is false) and the loop runs to its budget
+        n = 9
+        fixed = np.zeros(n, dtype=bool)
+        fixed[0] = fixed[-1] = True
+        block = solver.Block(lambda x: 0.5 * x @ x, lambda x: x - 0.5,
+                             lambda x: (np.ones(n), np.zeros(n - 1), np.full(n, np.nan), ()))
+        with pytest.raises(ValueError):
+            solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block, 1e-12, 1000)
 
     def test_one_step_minimizes_quadratic_with_low_rank_term(self):
         # E = x^T (T + U U^T) x / 2 - b^T x with the minimizer inside the box:
@@ -299,8 +364,8 @@ class TestNewtonKernel:
         def curvature(x):
             return diag, off, np.zeros(n), (U[:, 0], U[:, 1])
 
-        x, steps = solver.projected_newton(
-            np.zeros(n), 0.0, 1.0, fixed, energy, lambda x: A @ x - b, curvature,
+        x, steps, _, _ = solver.projected_newton(
+            np.zeros(n), 0.0, 1.0, fixed, solver.Block(energy, lambda x: A @ x - b, curvature),
             1e-12, 3,
         )
         np.testing.assert_allclose(x, x_star, atol=1e-12)
