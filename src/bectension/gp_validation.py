@@ -25,7 +25,8 @@ import numpy as np
 from . import analytic, solver, tf_geometry
 from .grid import Grid1D
 
-TF_LAMBDA = tf_geometry.tf_lambda(1)
+TF_MODEL = tf_geometry.TFModel(1)
+TF_LAMBDA = TF_MODEL.lam
 
 
 def _check_eps(eps: float) -> float:
@@ -218,7 +219,7 @@ def interface_location(alpha1: float) -> float:
     """Jump point t0 of the limit constraint: mass alpha1 sits left of t0."""
     if not 0.0 < alpha1 < 1.0:
         raise ValueError("alpha1 must lie strictly between 0 and 1")
-    return tf_geometry._halfline_cut(alpha1, tf_geometry.TFModel(1))
+    return tf_geometry._halfline_cut(alpha1, TF_MODEL)
 
 
 # Augmented-penalty continuation: STAGES stages, the penalty weight starting
@@ -338,8 +339,8 @@ def minimize_weighted_pair(
     x = grid.nodes
     mass = grid.spacing * grid.trapezoid_weights() * eta.values**2
 
-    rho0 = max(TF_LAMBDA**2 - t0 * t0, 0.0)
-    limit_energy = sigma * rho0**1.5
+    rho0 = tf_geometry.tf_density(t0, TF_MODEL)
+    limit_energy = tf_geometry.local_surface_tension(t0, TF_MODEL, sigma)
 
     m_bar, _ = analytic.minimize_plateau_objective(beta)
     T = analytic.optimal_plateau_halfwidth(m_bar, beta)
@@ -357,8 +358,8 @@ def minimize_weighted_pair(
     for stage in range(STAGES):
         tol = max(INNER_TOL, 1e-4 * 10.0 ** (-stage))
         for _ in range(MULTIPLIER_UPDATES):
-            v, phi, _, pg = solver.alternating_newton(problem, v, phi, frozen, V_HI, tol,
-                                                      INNER_STEPS)
+            v, phi, _, pg = solver.alternating_newton(problem, v, phi, frozen, frozen, V_HI,
+                                                      tol, INNER_STEPS)
             c1, c2 = problem.constraints(mass * v * v, np.cos(phi))
             problem = replace(problem, lam1=problem.lam1 + problem.mu * c1,
                               lam2=problem.lam2 + problem.mu * c2)

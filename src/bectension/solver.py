@@ -18,6 +18,11 @@ and backtracks along the projected arc, falling back to -P grad E when the
 Newton direction does not descend; energy never increases across a
 half-step.  ``alternating_newton`` is the driver both problems share.
 
+The minimizer is even in v and odd about its crossing, phi(-t) = pi - phi(t),
+so ``solve`` minimizes on the half line [0, L] (``half_line_problem``) and
+reflects the result.  The half-line gradient at node 0 is half the full-line
+one, so the stop norm counts node 0 twice.
+
 Each half-step works on a block objective, ``PairEnergy.phi_block(v)`` or
 ``v_block(phi)``, which computes every factor of the frozen field once.  Only
 a subexpression evaluated first in the two-field formula is hoisted (a whole
@@ -239,9 +244,12 @@ def _projected(x, g, lo, hi):
     return np.where(x <= lo, np.minimum(g, 0.0), np.where(x >= hi, np.maximum(g, 0.0), g))
 
 
-def _projected_gradient_norm(v, phi, gv, gphi, v_hi: float = 1.0) -> float:
-    return max(np.abs(_projected(v, gv, 0.0, v_hi)).max(),
-               np.abs(_projected(phi, gphi, 0.0, np.pi)).max())
+def _projected_gradient_norm(v, phi, gv, gphi, v_hi: float = 1.0, mirror: bool = False) -> float:
+    pv, pphi = _projected(v, gv, 0.0, v_hi), _projected(phi, gphi, 0.0, np.pi)
+    if mirror:  # node 0 of a half line: the full-line gradient there is twice as large
+        pv[0] *= 2.0
+        pphi[0] *= 2.0
+    return max(np.abs(pv).max(), np.abs(pphi).max())
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +344,17 @@ BLOCK_STEPS = 40          # Newton steps per block and round
 MAX_HALF_STEPS = 200_000  # budget of Newton half-steps of one unit solve
 
 
-def alternating_newton(problem, v, phi, fixed, v_hi, tol, max_steps):
+def alternating_newton(problem, v, phi, fixed_v, fixed_phi, v_hi, tol, max_steps, mirror=False):
     """Alternate projected Newton on phi at fixed v and on v at fixed phi.
 
     ``problem`` supplies the blocks ``phi_block(v)`` and ``v_block(phi)``,
     the objectives ``projected_newton`` takes.  The boxes are [0, v_hi] and
-    [0, pi]; rows in ``fixed`` never move.  Each block takes at most
-    BLOCK_STEPS steps towards a quarter of ``tol`` and starts from the energy
-    the previous block stopped at.  The rounds stop when the max-norm of the
-    projected gradient reaches ``tol`` or when ``max_steps`` half-steps are
-    spent.  Returns (v, phi, half_steps, final projected-gradient norm).
+    [0, pi]; rows in ``fixed_v`` and ``fixed_phi`` never move.  Each block
+    takes at most BLOCK_STEPS steps towards a quarter of ``tol`` and starts
+    from the energy the previous block stopped at.  The rounds stop when the
+    max-norm of the projected gradient reaches ``tol`` or when ``max_steps``
+    half-steps are spent; ``mirror`` counts node 0 twice in that norm.
+    Returns (v, phi, half_steps, final projected-gradient norm).
     """
     block_tol = 0.25 * tol
     steps = 0
@@ -353,21 +362,21 @@ def alternating_newton(problem, v, phi, fixed, v_hi, tol, max_steps):
     phi_block = problem.phi_block(v)
     while steps < max_steps:
         phi, s_phi, value, _ = projected_newton(
-            phi, 0.0, np.pi, fixed, phi_block, block_tol,
+            phi, 0.0, np.pi, fixed_phi, phi_block, block_tol,
             min(BLOCK_STEPS, max_steps - steps), value, gphi)
         steps += s_phi
         del phi_block  # one block's arrays alive at a time
         v_block = problem.v_block(phi)
         v, s_v, value, gv = projected_newton(
-            v, 0.0, v_hi, fixed, v_block, block_tol,
+            v, 0.0, v_hi, fixed_v, v_block, block_tol,
             min(BLOCK_STEPS, max_steps - steps), value)
         steps += s_v
         if gv is None:
-            gv = np.where(fixed, 0.0, v_block.gradient(v))
+            gv = np.where(fixed_v, 0.0, v_block.gradient(v))
         del v_block
         phi_block = problem.phi_block(v)  # also the next round's phi block
-        gphi = np.where(fixed, 0.0, phi_block.gradient(phi))
-        pg = _projected_gradient_norm(v, phi, gv, gphi, v_hi)
+        gphi = np.where(fixed_phi, 0.0, phi_block.gradient(phi))
+        pg = _projected_gradient_norm(v, phi, gv, gphi, v_hi, mirror)
         if pg <= tol:
             break
     return v, phi, steps, pg
@@ -391,7 +400,7 @@ def alternating_refine(
     fixed = np.zeros(grid.n_points, dtype=bool)
     fixed[0] = fixed[-1] = True
     v, phi, steps, _ = alternating_newton(
-        PairEnergy.unit(beta, grid), pair.v.copy(), pair.phi.copy(), fixed, 1.0,
+        PairEnergy.unit(beta, grid), pair.v.copy(), pair.phi.copy(), fixed, fixed, 1.0,
         grad_tol, MAX_HALF_STEPS,
     )
     return ProfilePair(grid, v, phi), steps
@@ -455,19 +464,6 @@ class PairDiagnostics:
     phi_antisymmetric_error: float
 
 
-def _crossing(pair: ProfilePair) -> float:
-    """Location where phi first reaches pi/2, sub-cell by linear interpolation."""
-    phi, t = pair.phi, pair.grid.nodes
-    idx = np.nonzero(phi >= 0.5 * np.pi)[0]
-    if idx.size == 0 or (idx[0] == 0 and phi[0] > 0.5 * np.pi):
-        raise ValueError("phi does not cross pi/2 on the grid")
-    k = int(idx[0])
-    if phi[k] == 0.5 * np.pi or k == 0:
-        return float(t[k])
-    frac = (0.5 * np.pi - phi[k - 1]) / (phi[k] - phi[k - 1])
-    return float(t[k - 1] + frac * (t[k] - t[k - 1]))
-
-
 def _argmin_node(v: np.ndarray) -> int:
     """Index of the dip; the middle node when the minimum is a plateau."""
     idx = np.flatnonzero(v == v.min())
@@ -478,13 +474,21 @@ def diagnostics(pair: ProfilePair) -> PairDiagnostics:
     """Dip location, angle monotonicity and symmetry defects of a pair.
 
     Symmetry errors are max-norms of v(t)-v(-t) and phi(t)+phi(-t)-pi after
-    re-centering the pair at its pi/2 crossing.
+    re-centering the pair at its crossing tc, where phi first reaches pi/2
+    (sub-cell, by linear interpolation).
     """
-    grid = pair.grid
+    grid, phi = pair.grid, pair.phi
     t = grid.nodes
     k = _argmin_node(pair.v)
-    monotone = bool(np.all(np.diff(pair.phi) >= -1e-10))
-    tc = _crossing(pair)
+    monotone = bool(np.all(np.diff(phi) >= -1e-10))
+    idx = np.nonzero(phi >= 0.5 * np.pi)[0]
+    if idx.size == 0 or (idx[0] == 0 and phi[0] > 0.5 * np.pi):
+        raise ValueError("phi does not cross pi/2 on the grid")
+    c = int(idx[0])
+    tc = t[c]
+    if phi[c] != 0.5 * np.pi:  # then c > 0, as phi[0] > pi/2 was refused
+        frac = (0.5 * np.pi - phi[c - 1]) / (phi[c] - phi[c - 1])
+        tc = t[c - 1] + frac * (t[c] - t[c - 1])
     span = grid.half_width - abs(tc)
     n_off = max(int(span / grid.spacing), 1)
     s = np.arange(n_off + 1) * grid.spacing
@@ -501,33 +505,6 @@ def diagnostics(pair: ProfilePair) -> PairDiagnostics:
     )
 
 
-def symmetrize(pair: ProfilePair, beta: float = 1.0) -> ProfilePair:
-    """Reflect each half of the pair across its pi/2 crossing; keep the cheaper.
-
-    The output is centered: v is even and phi(-t) = pi - phi(t), with the
-    crossing moved to t=0.  Its energy at ``beta`` is at most the input
-    energy up to the interpolation error O(h).
-    """
-    grid = pair.grid
-    tc = _crossing(pair)
-    t = grid.nodes
-    reflections = []
-    for side in (-1.0, 1.0):  # the left half first, so it wins a tie
-        source = tc + side * np.abs(t)
-        v_out = np.interp(source, t, pair.v)
-        phi_left = np.interp(source, t, pair.phi)
-        if side > 0.0:
-            phi_left = np.pi - phi_left
-        phi_out = np.where(t <= 0.0, phi_left, np.pi - phi_left)
-        # The center node sits exactly on the crossing.
-        phi_out[grid.n_points // 2] = 0.5 * np.pi
-        v_out[0] = v_out[-1] = 1.0
-        phi_out[0], phi_out[-1] = 0.0, np.pi
-        reflections.append(
-            ProfilePair(grid, np.clip(v_out, 0.0, 1.0), np.clip(phi_out, 0.0, np.pi)))
-    return min(reflections, key=lambda r: discrete_energy(r, beta).total)
-
-
 # ---------------------------------------------------------------------------
 # top-level solve
 # ---------------------------------------------------------------------------
@@ -539,27 +516,27 @@ def initial_pair(beta: float, grid: Grid1D) -> ProfilePair:
     return analytic.test_pair_fields(m_bar, T, grid)
 
 
-def _result_from_pair(pair, beta, iterations) -> SurfaceTensionResult:
-    sigma = discrete_energy(pair, beta).total
-    res_v, res_phi = el_residual(pair, beta)
-    k = _argmin_node(pair.v)
-    return SurfaceTensionResult(
-        beta=beta,
-        sigma=float(sigma),
-        inf_v=float(pair.v.min()),
-        argmin_v=float(pair.grid.nodes[k]),
-        el_residual_v=res_v,
-        el_residual_phi=res_phi,
-        equipartition_l2=equipartition_residual(pair, beta),
-        iterations=iterations,
-        grid=pair.grid,
-        pair=pair,
-    )
+def half_line_problem(beta: float, grid: Grid1D):
+    """The transition energy on [0, L] of ``grid``: ``(energy, fixed_v, fixed_phi)``.
+
+    Unit weights, except the potential weight 1/2 at 0 as at L, so twice its
+    energy is the full-line energy of the reflected pair, up to rounding.
+    phi(0) = pi/2, phi(L) = pi and v(L) = 1 are pinned; v(0) is free.
+    """
+    n = grid.n_points // 2 + 1
+    pot = np.ones(n)
+    pot[0] = pot[-1] = 0.5
+    fixed_v = np.zeros(n, dtype=bool)
+    fixed_v[-1] = True
+    fixed_phi = fixed_v.copy()
+    fixed_phi[0] = True
+    return PairEnergy(beta, grid.spacing, np.ones(n - 1), np.ones(n), pot), fixed_v, fixed_phi
 
 
 def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResult:
     """Minimize the transition energy at fixed beta and report diagnostics.
 
+    Solves on the half line and reflects the result onto the full grid.
     A sigma outside ``analytic.sigma_bracket`` (grid too narrow or too coarse) raises ValueError.
     """
     beta = analytic._check_beta(beta)
@@ -572,10 +549,28 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
             grid.spacing if config.spacing is None else config.spacing,
         )
 
-    pair, steps = alternating_refine(initial_pair(beta, grid), beta, grad_tol=config.grad_tol)
-    gv, gphi = discrete_gradient(pair, beta)
-    pg = _projected_gradient_norm(pair.v, pair.phi, gv, gphi)
-    result = _result_from_pair(pair, beta, steps)
+    start = initial_pair(beta, grid)
+    mid = grid.n_points // 2
+    v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
+    phi[0] = 0.5 * np.pi
+    energy, fixed_v, fixed_phi = half_line_problem(beta, grid)
+    v, phi, steps, pg = alternating_newton(energy, v, phi, fixed_v, fixed_phi, 1.0,
+                                           config.grad_tol, MAX_HALF_STEPS, mirror=True)
+    pair = ProfilePair(grid, np.concatenate([v[:0:-1], v]),
+                       np.concatenate([np.pi - phi[:0:-1], phi]))
+    res_v, res_phi = el_residual(pair, beta)
+    result = SurfaceTensionResult(
+        beta=beta,
+        sigma=float(discrete_energy(pair, beta).total),
+        inf_v=float(pair.v.min()),
+        argmin_v=float(grid.nodes[_argmin_node(pair.v)]),
+        el_residual_v=res_v,
+        el_residual_phi=res_phi,
+        equipartition_l2=equipartition_residual(pair, beta),
+        iterations=steps,
+        grid=grid,
+        pair=pair,
+    )
     if pg > config.grad_tol:
         raise ConvergenceError(
             f"projected gradient {pg:.3e} above tolerance {config.grad_tol:.3e} "

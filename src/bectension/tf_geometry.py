@@ -229,5 +229,4 @@ def local_surface_tension(r: float, model: TFModel, sigma_bar: float):
     """Spatially weighted surface tension rho(r)^(3/2) * sigma_bar."""
     if sigma_bar < 0:
         raise ValueError("sigma_bar must be nonnegative")
-    rho = tf_density(r, model)
-    return np.asarray(rho, dtype=float) ** 1.5 * sigma_bar if np.ndim(rho) else rho**1.5 * sigma_bar
+    return tf_density(r, model) ** 1.5 * sigma_bar

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bectension import analytic, asymptotics, gp_validation, solver, tf_geometry
+from bectension.grid import ProfilePair
 
 SQRT2 = math.sqrt(2.0)
 
@@ -112,14 +113,24 @@ def test_08_stationarity_residuals(fine_beta1):
 
 
 def test_09_monotone_angle_and_symmetry(solve_cache):
+    # solve works on the half line, so its pair is symmetric by construction.
+    # The symmetry is tested on a full-line refine from an asymmetric start:
+    # the wall of solve(1) moved 0.7 off centre, with a 2 % ripple in v.
     betas = BRACKET_BETAS + LARGE_BETAS + SMALL_BETAS
     monotone = all(solver.diagnostics(solve_cache(b).pair).phi_monotone for b in betas)
     res = solve_cache(1.0)
-    sym = solver.symmetrize(res.pair, 1.0)
-    gap = abs(solver.discrete_energy(sym, 1.0).total - res.sigma)
-    ok = monotone and gap <= 2e-6
+    t = res.grid.nodes
+    v = np.clip(np.interp(t - 0.7, t, res.pair.v) * (1.0 + 0.02 * np.sin(2.0 * t)), 0.0, 1.0)
+    v[0] = v[-1] = 1.0
+    start = ProfilePair(res.grid, v, np.interp(t - 0.7, t, res.pair.phi))
+    full, _ = solver.alternating_refine(start, 1.0)
+    gap = abs(solver.discrete_energy(full, 1.0).total - res.sigma)
+    d = solver.diagnostics(full)
+    sym = max(d.v_symmetric_error, d.phi_antisymmetric_error)
+    ok = monotone and gap <= 2e-6 and sym <= 1e-6
     verdict(9, "monotone angle and symmetry", ok,
-            f"phi monotone at {len(set(betas))} betas, symmetrized energy shift {gap:.2e}")
+            f"phi monotone at {len(set(betas))} betas; full-line solve from an off-centre "
+            f"rippled start: energy shift {gap:.2e}, symmetry defect {sym:.2e} about its crossing")
 
 
 def test_10_gradient_oracle():

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bectension import analytic, cli, solver
 from bectension.grid import ProfilePair
@@ -198,6 +203,29 @@ class TestJson:
         doc = json.loads(out)
         assert isinstance(doc, list) and [row["beta"] for row in doc] == pytest.approx([0.5, 2.0])
         assert all("argmin_v" in row for row in doc)
+
+
+class TestRoundTrip:
+    """Every finite double survives ``emit`` and parsing, bit for bit."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                           max_size=8))
+    @example(values=[-0.0, 0.0, 5e-324, -2.225073858507201e-308, 1e300, -1e300, 0.1])
+    def test_finite_doubles(self, fmt, values):
+        rows = [{"x": x, "y": np.float64(x)} for x in values]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli.emit(rows, fmt, None)
+        if fmt == "csv":
+            lines = out.getvalue().splitlines()
+            assert lines[0] == "x,y"
+            parsed = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
+        else:
+            parsed = [[row["x"], row["y"]] for row in json.loads(out.getvalue())]
+        bits = [struct.pack("<d", x) for x in values]
+        assert [struct.pack("<d", p[0]) for p in parsed] == bits
+        assert [struct.pack("<d", p[1]) for p in parsed] == bits
 
 
 class TestTf:
