@@ -141,14 +141,16 @@ def main(argv=None) -> int:
 
         if args.command in ("sigma", "profile"):
             result = solver.solve(args.beta, _solver_config(args))
+            steps = (f"{result.iterations - result.joint_steps} block + "
+                     f"{result.joint_steps} joint Newton steps")
             if args.command == "profile":
                 dump_profile(result.pair, args.dump)
                 print(f"profile for beta={args.beta:g} written to {args.dump} "
-                      f"({result.grid.n_points} nodes)", file=sys.stderr)
+                      f"({result.grid.n_points} nodes, {steps})", file=sys.stderr)
             else:
                 print(f"sigma(beta={args.beta:g}) = {result.sigma:.12g} "
-                      f"(dip {result.inf_v:.6g} at t={result.argmin_v:.6g}, "
-                      f"{result.iterations} iterations)", file=sys.stderr)
+                      f"(dip {result.inf_v:.6g} at t={result.argmin_v:.6g}, {steps})",
+                      file=sys.stderr)
             emit([asdict(asymptotics._solve_row(result))], args.format, args.output)
             return 0
 

@@ -7,16 +7,25 @@ The energy of a pair (v, phi) on a truncated grid is
 
 with v in [0,1], phi in [0,pi], v(+-L)=1, phi(-L)=0, phi(L)=pi.  It is the
 unit-weight case of ``PairEnergy``, whose ground-state-weighted case
-``gp_validation`` minimizes; the gradient and the block curvature there are
+``gp_validation`` minimizes; the gradient and the Hessian models there are
 exact for the discrete functional.
 
-The minimizer starts from the optimal plateau test pair and alternates two
-blocks of damped projected Newton: on phi at fixed v and on v at fixed phi,
-each a strictly convex subproblem after the classical substitutions sin(phi)
-and v^2.  Every Newton step solves one banded system (boundary rows pinned)
-and backtracks along the projected arc, falling back to -P grad E when the
-Newton direction does not descend; energy never increases across a
-half-step.  ``alternating_newton`` is the driver both problems share.
+The minimizer starts from the optimal plateau test pair and runs two phases
+of damped projected Newton, both driven by ``projected_newton``:
+
+* one round of the two convex blocks (``alternating_newton``): phi at fixed
+  v, then v at fixed phi, each strictly convex after the classical
+  substitutions sin(phi) and v^2, each step one tridiagonal solve;
+* Newton on the interleaved pair (v_0, phi_0, v_1, phi_1, ...)
+  (``joint_newton``), whose Hessian is a band of half-width 3 solved by one
+  banded Cholesky per step.  v^2 phi'^2 is not jointly convex, so the band
+  is shifted by tau I when the factorization fails.
+
+The block round is cheap and safe far from the minimizer; at weak coupling
+(beta <= 1e-3 on the default grids) it already meets the tolerance, and the
+joint phase does not run.  Every step backtracks along the projected arc,
+falling back to -P grad E when the Newton direction does not descend, so the
+energy never increases.
 
 The minimizer is even in v and odd about its crossing, phi(-t) = pi - phi(t),
 so ``solve`` minimizes on the half line [0, L] (``half_line_problem``) and
@@ -28,7 +37,8 @@ Each half-step works on a block objective, ``PairEnergy.phi_block(v)`` or
 a subexpression evaluated first in the two-field formula is hoisted (a whole
 term, a left-associative prefix, an argument of sin or cos), so a block's
 energy is the same float as ``PairEnergy.terms(v, phi).total`` and the value
-carried from one block to the next is exact.
+carried from one block to the next is exact.  ``PairEnergy.joint()`` returns
+the same gradients interleaved.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpbsv
 
 from . import analytic
 from .grid import Grid1D, ProfilePair, require_positive
@@ -77,7 +87,8 @@ class SurfaceTensionResult:
     el_residual_v: float
     el_residual_phi: float
     equipartition_l2: float
-    iterations: int                        # Newton half-steps
+    iterations: int                        # Newton steps of both phases
+    joint_steps: int                       # of which joint (v, phi) steps
     grid: Grid1D
     pair: ProfilePair = field(repr=False)
 
@@ -209,10 +220,46 @@ class PairEnergy:
 
         return Block(energy, gradient, curvature)
 
+    def joint(self) -> Block:
+        """The energy of the interleaved pair x = (v_0, phi_0, v_1, phi_1, ...).
 
-# One field's objective for ``projected_newton``, the other field frozen.  The
-# gradient includes the pinned rows.
-Block = namedtuple("Block", "energy gradient curvature")
+        ``gradient`` is the two block gradients interleaved, float for float.
+        ``curvature`` is the exact Hessian, a symmetric band of half-width 3
+        in LAPACK lower storage (``ab[k, j]`` = H[j + k, j]), solved by
+        ``band_newton``: the block curvatures on the v and phi rows, and the
+        mixed block d2E/dv_i dphi_j, nonzero for |i - j| <= 1,
+
+            j = i + 1:  n_i v_i dphi_i / (4h),
+            j = i - 1:  -n_i v_i dphi_{i-1} / (4h),
+            j = i:      n_i v_i (dphi_{i-1} - dphi_i) / (4h)
+                        + beta h p_i v_i^3 sin(phi_i) cos(phi_i),
+
+        with dphi_i = phi_{i+1} - phi_i and dphi = 0 beyond the ends.
+        """
+
+        def energy(x):
+            return self.terms(x[0::2], x[1::2]).total
+
+        def gradient(x):
+            v, phi = x[0::2], x[1::2]
+            return _interleave(self.v_block(phi).gradient(v), self.phi_block(v).gradient(phi))
+
+        def curvature(x):
+            v, phi = x[0::2], x[1::2]
+            ab = np.zeros((4, x.size), order="F")
+            blocks = (self.v_block(phi).curvature(v), self.phi_block(v).curvature(phi))
+            for k, (kin, off, pot, _) in enumerate(blocks):
+                ab[0, k::2] = kin + pot
+                ab[2, k:-2:2] = off
+            dphi = np.diff(phi)
+            q = self.node * v / (4.0 * self.h)
+            ab[1, 0::2] = (q * _scatter(np.zeros(v.size), -dphi, dphi)
+                           + self.beta * self.h * self.pot * v ** 3 * np.sin(phi) * np.cos(phi))
+            ab[1, 1:-1:2] = -q[1:] * dphi
+            ab[3, 0:-2:2] = q[:-1] * dphi
+            return ab
+
+        return Block(energy, gradient, curvature, band_newton)
 
 
 def _scatter(x, left, right):
@@ -278,20 +325,82 @@ def banded_solve(diag, off, fixed, *columns):
     return x
 
 
-def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=None):
-    """Projected damped Newton on one field in the box [lo, hi].
+def tridiagonal_newton(curvature, x, fixed, g):
+    """Newton direction of a block model: ``curvature(x)`` returns
+    ``(kin, off, pot, cols)``, a tridiagonal part (diagonal ``kin + pot``,
+    off-diagonal ``off``) whose potential diagonal ``pot`` is shifted until
+    it is nonnegative on the free rows, so the model stays positive definite,
+    plus low-rank columns U adding U U^T, folded in by a Woodbury correction.
+    """
+    kin, off, pot, cols = curvature(x)
+    free = ~fixed
+    shift = max(0.0, -pot[free].min()) if free.any() else 0.0
+    Z = banded_solve(kin + pot + shift, off, fixed, -g, *cols)
+    d = Z[:, 0]
+    if cols:  # pinned rows of Z are zero, so U needs no masking there
+        U, ZU = np.column_stack(cols), Z[:, 1:]
+        d = d - ZU @ np.linalg.solve(np.eye(len(cols)) + U.T @ ZU, U.T @ d)
+    return d
 
-    ``objective`` is one block (see ``PairEnergy.phi_block``): ``energy(x)``
-    and ``gradient(x)`` evaluate it with every other field held fixed, and
-    ``curvature(x)`` returns the model ``(kin, off, pot, cols)``: a
-    tridiagonal part (diagonal ``kin + pot``, off-diagonal ``off``) whose
-    potential diagonal ``pot`` is shifted until it is nonnegative on the free
-    rows, so the model stays positive definite, plus low-rank columns U
-    adding U U^T, folded in by a Woodbury correction.  Rows in ``fixed``
-    never move.  Nodes resting on a box bound stay in the system so one step
-    can detach whole flat regions; the projected arc and the Armijo search
-    take care of any step component leaving the box, with -P grad E as the
-    fallback direction.  The energy never increases.
+
+def band_newton(curvature, x, fixed, g):
+    """Newton direction of a banded model: ``curvature(x)`` returns a fresh
+    symmetric band in LAPACK lower storage (``ab[k, j]`` = H[j + k, j]).
+
+    Rows in ``fixed`` decouple and their entries of the direction are zero.
+    One Cholesky (``pbsv``) factors the band in place.  If it fails, the
+    band is rebuilt with tau I added on the free rows, tau growing from
+    ``-min(diag) + b`` (or ``b`` when the diagonal is positive) by doubling,
+    with b = 1e-3 max|diag| (Nocedal & Wright, Alg. 3.3).  A non-finite
+    band or direction raises ``ValueError``.
+    """
+    free, pinned = ~fixed, np.flatnonzero(fixed)
+    rhs = np.where(fixed, 0.0, -g)
+
+    def band():
+        ab = curvature(x)
+        ab[1:, pinned] = 0.0
+        for k in range(1, ab.shape[0]):
+            ab[k, pinned[pinned >= k] - k] = 0.0
+        ab[0, pinned] = 1.0
+        return ab
+
+    ab, tau = band(), 0.0
+    while True:
+        _, d, info = dpbsv(ab, rhs, lower=1, overwrite_ab=1)
+        if info == 0:
+            break
+        ab = band()  # the failed factorization overwrote it
+        if tau == 0.0:
+            if not np.isfinite(ab).all():
+                raise ValueError("band model has a non-finite entry")
+            diag = ab[0, free]
+            tau = (1e-3 * np.abs(diag).max() or 1e-3) - min(diag.min(), 0.0)
+        else:
+            tau *= 2.0
+        ab[0, free] += tau
+    if not np.isfinite(d).all():
+        raise ValueError("band model has a non-finite solution")
+    return d
+
+
+# An objective for ``projected_newton``: the energy, its gradient (pinned
+# rows included), the Hessian model, and how that model yields a step.
+Block = namedtuple("Block", "energy gradient curvature newton", defaults=(tridiagonal_newton,))
+
+
+def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=None):
+    """Projected damped Newton in the box [lo, hi].
+
+    ``objective`` is a ``Block``: one field with the others frozen (see
+    ``PairEnergy.phi_block``, solved by ``tridiagonal_newton``) or the
+    interleaved pair (``PairEnergy.joint``, solved by ``band_newton``).
+    ``lo``, ``hi`` and ``tol`` are scalars or one entry per row; the loop
+    stops when every projected-gradient entry is within its ``tol``.  Rows
+    in ``fixed`` never move.  Nodes resting on a box bound stay in the
+    system so one step can detach whole flat regions; the projected arc and
+    the Armijo search take care of any step component leaving the box, with
+    -P grad E as the fallback direction.  The energy never increases.
 
     ``value`` and ``g`` (pinned rows zeroed) are the energy and gradient at
     ``x`` when the caller has them.  Returns ``(x, steps, value, g)``: ``g``
@@ -300,24 +409,16 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
     """
     if value is None:
         value = objective.energy(x)
-    free = ~fixed
     steps = 0
     for _ in range(max_steps):
         if g is None:
             g = np.where(fixed, 0.0, objective.gradient(x))
         pg = _projected(x, g, lo, hi)
-        if np.abs(pg).max() <= tol:
+        if (np.abs(pg) <= tol).all():
             break
         steps += 1
 
-        kin, off, pot, cols = objective.curvature(x)
-        shift = max(0.0, -pot[free].min()) if free.any() else 0.0
-        Z = banded_solve(kin + pot + shift, off, fixed, -g, *cols)
-        d = Z[:, 0]
-        if cols:  # pinned rows of Z are zero, so U needs no masking there
-            U, ZU = np.column_stack(cols), Z[:, 1:]
-            d = d - ZU @ np.linalg.solve(np.eye(len(cols)) + U.T @ ZU, U.T @ d)
-
+        d = objective.newton(objective.curvature, x, fixed, g)
         slope = g @ d
         if not np.isfinite(slope) or slope >= 0.0:
             d = -pg
@@ -341,10 +442,11 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
 # ---------------------------------------------------------------------------
 
 BLOCK_STEPS = 40          # Newton steps per block and round
-MAX_HALF_STEPS = 200_000  # budget of Newton half-steps of one unit solve
+MAX_HALF_STEPS = 200_000  # budget of Newton steps (block and joint) of one unit solve
 
 
-def alternating_newton(problem, v, phi, fixed_v, fixed_phi, v_hi, tol, max_steps, mirror=False):
+def alternating_newton(problem, v, phi, fixed_v, fixed_phi, v_hi, tol, max_steps, mirror=False,
+                       max_rounds=math.inf):
     """Alternate projected Newton on phi at fixed v and on v at fixed phi.
 
     ``problem`` supplies the blocks ``phi_block(v)`` and ``v_block(phi)``,
@@ -352,15 +454,18 @@ def alternating_newton(problem, v, phi, fixed_v, fixed_phi, v_hi, tol, max_steps
     [0, pi]; rows in ``fixed_v`` and ``fixed_phi`` never move.  Each block
     takes at most BLOCK_STEPS steps towards a quarter of ``tol`` and starts
     from the energy the previous block stopped at.  The rounds stop when the
-    max-norm of the projected gradient reaches ``tol`` or when ``max_steps``
-    half-steps are spent; ``mirror`` counts node 0 twice in that norm.
+    max-norm of the projected gradient reaches ``tol``, when ``max_steps``
+    half-steps are spent or after ``max_rounds`` rounds; ``mirror`` counts
+    node 0 twice in that norm.
     Returns (v, phi, half_steps, final projected-gradient norm).
     """
     block_tol = 0.25 * tol
     steps = 0
     value = gphi = None
     phi_block = problem.phi_block(v)
-    while steps < max_steps:
+    rounds = 0
+    while steps < max_steps and rounds < max_rounds:
+        rounds += 1
         phi, s_phi, value, _ = projected_newton(
             phi, 0.0, np.pi, fixed_phi, phi_block, block_tol,
             min(BLOCK_STEPS, max_steps - steps), value, gphi)
@@ -382,6 +487,32 @@ def alternating_newton(problem, v, phi, fixed_v, fixed_phi, v_hi, tol, max_steps
     return v, phi, steps, pg
 
 
+def _interleave(a, b):
+    return np.column_stack((a, b)).ravel()
+
+
+def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps):
+    """Projected Newton on the interleaved half-line pair (v_0, phi_0, v_1, phi_1, ...).
+
+    The objective is ``problem.joint()``, the box [0, 1] x [0, pi].  The stop
+    norm is the mirrored one of ``alternating_newton``: node 0 counts twice,
+    so its two rows stop at half of ``tol``.  Returns what
+    ``alternating_newton`` returns, with joint steps in place of half-steps.
+    """
+    n = v.size
+    tols = np.full(2 * n, tol)
+    tols[:2] = 0.5 * tol  # |2 g_0| <= tol, exactly
+    objective = problem.joint()
+    fixed = _interleave(fixed_v, fixed_phi)
+    x, steps, _, g = projected_newton(_interleave(v, phi), 0.0,
+                                      _interleave(np.ones(n), np.full(n, np.pi)),
+                                      fixed, objective, tols, max_steps)
+    if g is None:
+        g = np.where(fixed, 0.0, objective.gradient(x))
+    v, phi = x[0::2], x[1::2]
+    return v, phi, steps, _projected_gradient_norm(v, phi, g[0::2], g[1::2], 1.0, True)
+
+
 def alternating_refine(
     pair: ProfilePair,
     beta: float,
@@ -389,9 +520,11 @@ def alternating_refine(
 ) -> tuple[ProfilePair, int]:
     """Alternate the two convex block subproblems until joint stationarity.
 
-    Returns the refined pair and the number of Newton half-steps taken, at
-    most ``MAX_HALF_STEPS``.  Refuses pairs whose amplitude touches 0 (the
-    angle substitution degenerates there).
+    The reference path: full line, both ends pinned, block rounds only, so
+    it checks ``solve`` (half line, one block round, then joint Newton) by
+    an independent route.  Returns the refined pair and the number of
+    Newton half-steps taken, at most ``MAX_HALF_STEPS``.  Refuses pairs
+    whose amplitude touches 0 (the angle substitution degenerates there).
     """
     beta = analytic._check_beta(beta)
     if pair.v.min() <= 0.0:
@@ -536,7 +669,10 @@ def half_line_problem(beta: float, grid: Grid1D):
 def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResult:
     """Minimize the transition energy at fixed beta and report diagnostics.
 
-    Solves on the half line and reflects the result onto the full grid.
+    Solves on the half line and reflects the result onto the full grid: one
+    block round, then joint Newton unless that round met the tolerance.
+    Both phases share the budget ``MAX_HALF_STEPS``; a spent budget or a
+    stall raises ConvergenceError naming the phase.
     A sigma outside ``analytic.sigma_bracket`` (grid too narrow or too coarse) raises ValueError.
     """
     beta = analytic._check_beta(beta)
@@ -554,8 +690,14 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
     v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
     phi[0] = 0.5 * np.pi
     energy, fixed_v, fixed_phi = half_line_problem(beta, grid)
-    v, phi, steps, pg = alternating_newton(energy, v, phi, fixed_v, fixed_phi, 1.0,
-                                           config.grad_tol, MAX_HALF_STEPS, mirror=True)
+    tol = config.grad_tol
+    v, phi, block_steps, pg = alternating_newton(energy, v, phi, fixed_v, fixed_phi, 1.0, tol,
+                                                 MAX_HALF_STEPS, mirror=True, max_rounds=1)
+    joint_steps = 0
+    if pg > tol:
+        v, phi, joint_steps, pg = joint_newton(energy, v, phi, fixed_v, fixed_phi, tol,
+                                               MAX_HALF_STEPS - block_steps)
+    steps = block_steps + joint_steps
     pair = ProfilePair(grid, np.concatenate([v[:0:-1], v]),
                        np.concatenate([np.pi - phi[:0:-1], phi]))
     res_v, res_phi = el_residual(pair, beta)
@@ -568,13 +710,19 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
         el_residual_phi=res_phi,
         equipartition_l2=equipartition_residual(pair, beta),
         iterations=steps,
+        joint_steps=joint_steps,
         grid=grid,
         pair=pair,
     )
-    if pg > config.grad_tol:
+    if pg > tol:
+        if steps < MAX_HALF_STEPS:
+            why = "the joint Newton phase stalled at machine precision"
+        else:
+            phase = "joint Newton phase" if joint_steps else "block round"
+            why = f"the {phase} spent the budget of {MAX_HALF_STEPS} steps"
         raise ConvergenceError(
-            f"projected gradient {pg:.3e} above tolerance {config.grad_tol:.3e} "
-            f"after {steps} Newton half-steps",
+            f"projected gradient {pg:.3e} above tolerance {tol:.3e} after "
+            f"{block_steps} block + {joint_steps} joint Newton steps: {why}",
             result,
         )
     bracket = analytic.sigma_bracket(beta)

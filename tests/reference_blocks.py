@@ -2,7 +2,8 @@
 ``solver.PairEnergy`` and the penalized energy, gradient and curvature of
 ``gp_validation._PenalizedPair``, written with both fields as arguments and
 one branch per block.  The block objectives must reproduce them bit for bit,
-so every product keeps the association used here.
+so every product keeps the association used here.  ``pair_mixed`` and
+``joint_hessian`` assemble the dense Hessian of ``PairEnergy.joint``.
 """
 
 import math
@@ -53,6 +54,34 @@ def pair_curvature(e, v, phi, block):
     kin[:-1] += a
     kin[1:] += a
     return kin, -a, pot, ()
+
+
+def pair_mixed(e, v, phi):
+    """The dense mixed block d2E/dv_i dphi_j of ``solver.PairEnergy``."""
+    h, n = e.h, v.size
+    dphi = np.diff(phi)
+    q = e.node * v / (4.0 * h)
+    diag = e.beta * h * e.pot * v ** 3 * np.sin(phi) * np.cos(phi)
+    diag[1:] += q[1:] * dphi
+    diag[:-1] -= q[:-1] * dphi
+    i = np.arange(n - 1)
+    m = np.diag(diag)
+    m[i, i + 1] = q[:-1] * dphi
+    m[i + 1, i] = -q[1:] * dphi
+    return m
+
+
+def joint_hessian(e, v, phi):
+    """The dense Hessian in the interleaved order (v_0, phi_0, v_1, phi_1, ...)."""
+    n = v.size
+    hess = np.zeros((2 * n, 2 * n))
+    for k, block in enumerate(("v", "phi")):
+        kin, off, pot, _ = pair_curvature(e, v, phi, block)
+        hess[k::2, k::2] = np.diag(kin + pot) + np.diag(off, 1) + np.diag(off, -1)
+    m = pair_mixed(e, v, phi)
+    hess[0::2, 1::2] = m
+    hess[1::2, 0::2] = m.T
+    return hess
 
 
 def penalized_constraints(p, v, phi):

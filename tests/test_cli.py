@@ -169,6 +169,24 @@ class TestSigmaAndProfile:
         loaded = ProfilePair(result.grid, v, phi)
         assert solver.discrete_energy(loaded, 1.0).total == sigma == result.sigma
 
+    def test_stderr_names_both_phases(self, capsys, tmp_path):
+        result = solver.solve(1.0, solver.SolverConfig(half_width=10.0, spacing=0.05,
+                                                       grad_tol=1e-7))
+        steps = (f"{result.iterations - result.joint_steps} block + "
+                 f"{result.joint_steps} joint Newton steps")
+        _, _, err = run_cli(capsys, "sigma", "--beta", "1", *FAST_GRID)
+        assert steps in err
+        _, _, err = run_cli(capsys, "profile", "--beta", "1", "--dump",
+                            str(tmp_path / "profile.txt"), *FAST_GRID)
+        assert steps in err
+
+    def test_tight_tolerance_converges(self, capsys):
+        # the joint Newton phase reaches 1e-11 where block rounds alone
+        # needed hundreds of half-steps
+        code, _, err = run_cli(capsys, "sigma", "--beta", "100", "--grad-tol", "1e-11")
+        assert code == 0
+        assert "joint Newton steps" in err
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "sigma", "--beta", "0.5", *FAST_GRID)
         _, out2, _ = run_cli(capsys, "sigma", "--beta", "0.5", *FAST_GRID)

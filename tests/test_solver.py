@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,216 @@ class TestBlockExactness:
                                           gv[inner])
             np.testing.assert_array_equal(energy.phi_block(pair.v).gradient(pair.phi)[inner],
                                           gphi[inner])
+
+
+def band_to_dense(ab):
+    """The symmetric matrix of a band in LAPACK lower storage."""
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for k in range(ab.shape[0]):
+        j = np.arange(n - k)
+        dense[j + k, j] = dense[j, j + k] = ab[k, :n - k]
+    return dense
+
+
+def joint_cases():
+    """(energy, x): random pairs with unit and half-line weights, at several beta."""
+    rng = np.random.default_rng(23)
+    g = small_grid()
+    mid = g.n_points // 2
+    for beta in (0.1, 1.0, 100.0):
+        for _ in range(2):
+            pair = random_pair(g, rng)
+            yield solver.PairEnergy.unit(beta, g), solver._interleave(pair.v, pair.phi)
+            yield (solver.half_line_problem(beta, g)[0],
+                   solver._interleave(pair.v[mid:], pair.phi[mid:]))
+
+
+class TestJointObjective:
+    """PairEnergy.joint against the two-field references, and its Newton kernel."""
+
+    def test_energy_and_gradient_are_the_blocks_interleaved(self):
+        for energy, x in joint_cases():
+            v, phi = x[0::2].copy(), x[1::2].copy()
+            joint = energy.joint()
+            assert joint.energy(x) == energy.terms(v, phi).total
+            g = joint.gradient(x)
+            np.testing.assert_array_equal(g[0::2], energy.v_block(phi).gradient(v))
+            np.testing.assert_array_equal(g[1::2], energy.phi_block(v).gradient(phi))
+            np.testing.assert_array_equal(g[0::2], ref.pair_gradient(energy, v, phi, "v"))
+            np.testing.assert_array_equal(g[1::2], ref.pair_gradient(energy, v, phi, "phi"))
+
+    def test_band_is_the_dense_reference_hessian(self):
+        for energy, x in joint_cases():
+            band = band_to_dense(energy.joint().curvature(x))
+            want = ref.joint_hessian(energy, x[0::2].copy(), x[1::2].copy())
+            assert np.abs(band - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_band_matches_central_differences_of_gradient(self):
+        step = 1e-6
+        rng = np.random.default_rng(29)
+        for energy, x in joint_cases():
+            joint = energy.joint()
+            hess = band_to_dense(joint.curvature(x))
+            scale = np.abs(hess).max()
+            for j in rng.choice(x.size, size=12, replace=False):
+                xp, xm = x.copy(), x.copy()
+                xp[j] += step
+                xm[j] -= step
+                fd = (joint.gradient(xp) - joint.gradient(xm)) / (2.0 * step)
+                assert np.abs(fd - hess[:, j]).max() <= 1e-6 * scale
+
+    def test_pinned_rows_decouple(self, beta1_result):
+        # near the minimizer the joint model is positive definite, so the
+        # step solves the free rows of the dense reference system exactly
+        grid = beta1_result.grid
+        mid = grid.n_points // 2
+        energy, fixed_v, fixed_phi = solver.half_line_problem(1.0, grid)
+        fixed = solver._interleave(fixed_v, fixed_phi)
+        x = solver._interleave(beta1_result.pair.v[mid:], beta1_result.pair.phi[mid:])
+        x[0] -= 1e-3  # move off the minimizer so the step is not tiny
+        joint = energy.joint()
+        g = np.where(fixed, 0.0, joint.gradient(x))
+        d = solver.band_newton(joint.curvature, x, fixed, g)
+        assert np.all(d[fixed] == 0.0)
+        free = ~fixed
+        hess = ref.joint_hessian(energy, x[0::2].copy(), x[1::2].copy())
+        want = np.linalg.solve(hess[np.ix_(free, free)], -g[free])
+        np.testing.assert_allclose(d[free], want, rtol=1e-8, atol=1e-12 * np.abs(want).max())
+
+    def test_indefinite_state_shifts_and_descends(self):
+        # on a v = 0.3 plateau the double well is concave in v and v^2 phi'^2
+        # couples the fields: the joint Hessian is indefinite, Cholesky fails,
+        # and the tau I shift still gives a descent direction
+        g = small_grid(half_width=3.0, spacing=0.05)
+        n = g.n_points
+        v = np.full(n, 0.3)
+        v[[0, -1]] = 1.0
+        phi = np.pi * (g.nodes + g.half_width) / (2.0 * g.half_width)
+        fixed = np.zeros(n, dtype=bool)
+        fixed[[0, -1]] = True
+        fixed = solver._interleave(fixed, fixed)
+        energy = solver.PairEnergy.unit(1.0, g)
+        hess = ref.joint_hessian(energy, v, phi)
+        free = ~fixed
+        assert np.linalg.eigvalsh(hess[np.ix_(free, free)]).min() < 0.0
+        joint = energy.joint()
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return joint.curvature(x)
+
+        x = solver._interleave(v, phi)
+        grad = np.where(fixed, 0.0, joint.gradient(x))
+        d = solver.band_newton(counting, x, fixed, grad)
+        assert len(calls) >= 2  # the band that failed, then at least one shifted rebuild
+        assert np.isfinite(d).all() and np.all(d[fixed] == 0.0)
+        assert grad @ d < 0.0
+        hi = solver._interleave(np.ones(n), np.full(n, np.pi))
+        _, steps, value, _ = solver.projected_newton(x, 0.0, hi, fixed, joint, 0.0, 1)
+        assert steps == 1 and value < joint.energy(x)
+
+    @pytest.mark.parametrize("where", [(0, 6), (1, 7), (2, 4), (3, 8)])
+    def test_non_finite_band_raises(self, where):
+        n = 16
+        fixed = np.zeros(n, dtype=bool)
+        fixed[[0, -1]] = True
+
+        def curvature(x):
+            ab = np.zeros((4, n), order="F")
+            ab[0] = 4.0
+            ab[1, :-1] = -1.0
+            ab[where] = np.nan
+            return ab
+
+        with pytest.raises(ValueError, match="non-finite"):
+            solver.band_newton(curvature, np.zeros(n), fixed, np.ones(n))
+        block = solver.Block(lambda x: 0.5 * x @ x, lambda x: x - 0.5, curvature,
+                             solver.band_newton)
+        with pytest.raises(ValueError, match="non-finite"):
+            solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block, 1e-12, 100)
+
+    def test_non_finite_gradient_raises(self):
+        n = 8
+        fixed = np.zeros(n, dtype=bool)
+        ab = np.zeros((4, n), order="F")
+        ab[0] = 2.0
+        g = np.ones(n)
+        g[3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            solver.band_newton(lambda x: ab.copy(order="F"), np.zeros(n), fixed, g)
+
+    def test_energy_never_increases_across_joint_steps(self):
+        rng = np.random.default_rng(31)
+        g = Grid1D.from_spacing(10.0, 0.05)
+        for beta in (0.1, 1.0, 100.0):
+            pair = random_pair(g, rng)
+            energy = solver.PairEnergy.unit(beta, g)
+            joint = energy.joint()
+            fixed = np.zeros(g.n_points, dtype=bool)
+            fixed[[0, -1]] = True
+            fixed = solver._interleave(fixed, fixed)
+            hi = solver._interleave(np.ones(g.n_points), np.full(g.n_points, np.pi))
+            x = solver._interleave(pair.v, pair.phi)
+            e_prev = joint.energy(x)
+            for _ in range(8):
+                x, _, value, _ = solver.projected_newton(x, 0.0, hi, fixed, joint, 1e-12, 1)
+                assert value == energy.terms(x[0::2], x[1::2]).total
+                assert value <= e_prev
+                e_prev = value
+
+
+class TestSolvePhases:
+    """solve: one block round, then joint Newton; the weak solves end in the round."""
+
+    @pytest.mark.parametrize("beta, half_steps", [(1e-4, 4), (1e-3, 7)])
+    def test_weak_solves_are_one_block_round(self, solve_cache, beta, half_steps):
+        result = solve_cache(beta)
+        grid = result.grid
+        mid = grid.n_points // 2
+        start = solver.initial_pair(beta, grid)
+        v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
+        phi[0] = 0.5 * np.pi
+        energy, fixed_v, fixed_phi = solver.half_line_problem(beta, grid)
+        block_tol = 0.25 * solver.SolverConfig().grad_tol
+        phi, s_phi, value, _ = solver.projected_newton(
+            phi, 0.0, np.pi, fixed_phi, energy.phi_block(v), block_tol, solver.BLOCK_STEPS)
+        v, s_v, _, _ = solver.projected_newton(
+            v, 0.0, 1.0, fixed_v, energy.v_block(phi), block_tol, solver.BLOCK_STEPS, value)
+        np.testing.assert_array_equal(result.pair.v, np.concatenate([v[:0:-1], v]))
+        np.testing.assert_array_equal(result.pair.phi,
+                                      np.concatenate([np.pi - phi[:0:-1], phi]))
+        assert result.iterations == s_phi + s_v == half_steps
+        assert result.joint_steps == 0
+
+    def test_weak_sigma_keeps_the_benchmark_reference(self, solve_cache):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        pinned = json.loads(path.read_text())["weak_profile"]["sigma"]
+        assert abs(solve_cache(1e-4).sigma - pinned["values"][0]) <= pinned["tols"][0]
+
+    def test_unit_solve_ends_in_joint_steps(self, beta1_result):
+        assert 0 < beta1_result.joint_steps < beta1_result.iterations
+
+    def test_spent_budget_names_the_block_round(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_HALF_STEPS", 3)
+        cfg = solver.SolverConfig(half_width=5.0, spacing=0.05, grad_tol=1e-14)
+        with pytest.raises(solver.ConvergenceError, match="block round spent") as err:
+            solver.solve(1.0, cfg)
+        assert "3 block + 0 joint Newton steps" in str(err.value)
+        assert err.value.result.joint_steps == 0
+
+    def test_spent_budget_names_the_joint_phase(self, monkeypatch):
+        cfg = solver.SolverConfig(half_width=5.0, spacing=0.05, grad_tol=1e-12)
+        full = solver.solve(1.0, cfg)
+        block = full.iterations - full.joint_steps
+        assert full.joint_steps >= 2
+        monkeypatch.setattr(solver, "MAX_HALF_STEPS", block + 1)
+        with pytest.raises(solver.ConvergenceError, match="joint Newton phase spent") as err:
+            solver.solve(1.0, cfg)
+        result = err.value.result
+        assert (result.iterations, result.joint_steps) == (block + 1, 1)
+        assert f"{block} block + 1 joint Newton steps" in str(err.value)
 
 
 class TestMinimize:
