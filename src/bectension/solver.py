@@ -400,7 +400,11 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
     in ``fixed`` never move.  Nodes resting on a box bound stay in the
     system so one step can detach whole flat regions; the projected arc and
     the Armijo search take care of any step component leaving the box, with
-    -P grad E as the fallback direction.  The energy never increases.
+    -P grad E as the fallback direction.  The energy never increases.  The
+    loop stops as a stall at machine precision when no step length lowers
+    the energy, or when a step left the energy unchanged and the max-norm of
+    the projected gradient did not fall below its least value since the
+    energy last fell.
 
     ``value`` and ``g`` (pinned rows zeroed) are the energy and gradient at
     ``x`` when the caller has them.  Returns ``(x, steps, value, g)``: ``g``
@@ -410,11 +414,16 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
     if value is None:
         value = objective.energy(x)
     steps = 0
+    least = math.inf  # least max|P grad E| since the energy last fell
     for _ in range(max_steps):
         if g is None:
             g = np.where(fixed, 0.0, objective.gradient(x))
         pg = _projected(x, g, lo, hi)
-        if (np.abs(pg) <= tol).all():
+        size = np.abs(pg)
+        if (size <= tol).all():
+            break
+        norm = size.max()
+        if norm >= least:  # an equal-energy step that did not lower the gradient
             break
         steps += 1
 
@@ -433,6 +442,7 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
             alpha *= 0.5
         if value_new > value:  # stalled at machine precision; stay monotone
             break
+        least = min(least, norm) if value_new == value else math.inf
         x, value, g = x_new, value_new, None
     return x, steps, value, g
 

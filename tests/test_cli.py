@@ -187,6 +187,23 @@ class TestSigmaAndProfile:
         assert code == 0
         assert "joint Newton steps" in err
 
+    def test_equal_energy_spin_stops_as_a_stall(self, capsys):
+        # the joint phase's floor at beta = 100 is 2.2e-14: below it, steps
+        # that leave the energy equal end the solve instead of the budget
+        code, out, err = run_cli(capsys, "sigma", "--beta", "100", "--grad-tol", "1e-14")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("solver failure: projected gradient ")
+        assert err.rstrip().endswith("stalled at machine precision")
+
+    def test_dump_into_missing_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "profile", "--beta", "1", "--dump",
+                                 str(tmp_path / "missing" / "profile.txt"), *FAST_GRID)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("i/o failure: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "sigma", "--beta", "0.5", *FAST_GRID)
         _, out2, _ = run_cli(capsys, "sigma", "--beta", "0.5", *FAST_GRID)

@@ -555,6 +555,32 @@ class TestNewtonKernel:
         with pytest.raises(ValueError):
             solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block, 1e-12, 1000)
 
+    def test_equal_energy_step_without_gradient_progress_stalls(self):
+        # a flat energy with a gradient no step changes: the first step
+        # leaves the energy equal and the gradient where it was, so the loop
+        # stops after it instead of running to its budget
+        n = 9
+        fixed = np.zeros(n, dtype=bool)
+        fixed[0] = fixed[-1] = True
+        block = solver.Block(lambda x: 1.0, lambda x: np.full(n, -0.5),
+                             lambda x: (np.ones(n), np.zeros(n - 1), np.zeros(n), ()))
+        x, steps, value, g = solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block,
+                                                     1e-12, 1000)
+        assert steps == 1 and value == 1.0
+        assert (x[1:-1] > 0.0).all() and g is not None
+
+    def test_equal_energy_steps_that_lower_the_gradient_go_on(self):
+        # flat energy, gradient x - 1/2: each accepted step leaves the energy
+        # equal but moves x and lowers |g|, so the loop runs its budget
+        n = 9
+        fixed = np.zeros(n, dtype=bool)
+        fixed[0] = fixed[-1] = True
+        block = solver.Block(lambda x: 1.0, lambda x: x - 0.5,
+                             lambda x: (np.ones(n), np.zeros(n - 1), np.zeros(n), ()))
+        _, steps, _, _ = solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block,
+                                                 1e-12, 5)
+        assert steps == 5
+
     def test_one_step_minimizes_quadratic_with_low_rank_term(self):
         # E = x^T (T + U U^T) x / 2 - b^T x with the minimizer inside the box:
         # the Woodbury-corrected Newton step lands on it at once
