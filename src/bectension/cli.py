@@ -193,8 +193,8 @@ def main(argv=None) -> int:
                 parser.error(f"cannot parse eps list {args.eps_list!r}")
             rows = gp_validation.gamma_table(eps_list, args.beta, alpha1=args.alpha1)
             for row in rows:
-                print(f"eps={row.eps:g}: gap {row.gap:+.6g} "
-                      f"({abs(row.gap) / row.limit_energy:.2%} of limit)", file=sys.stderr)
+                print(f"eps={row.eps:g}: gap {row.gap:+.6g} ({abs(row.gap) / row.limit_energy:.2%} "
+                      f"of limit, {row.newton_steps} Newton steps)", file=sys.stderr)
             emit(gp_validation.gamma_csv_rows(rows), args.format, args.output)
             return 0
     except ValueError as exc:  # input rejected where it is used: grid, beta, eps or alpha

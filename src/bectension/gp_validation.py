@@ -2,10 +2,10 @@
 
 Pipeline: solve the single-component ground state eta at healing length eps
 (bordered Newton on the unit L2 sphere), minimize eps times the weighted
-pair energy under the two mass constraints (augmented penalty, the
-alternating projected Newton driver of ``solver``), and compare with the
-limit value sigma(beta) * rho(t0)^(3/2) at the interface location t0 fixed
-by the limit constraint.  The gap must shrink as eps decreases.  The
+pair energy under the two mass constraints (bordered Newton on the joint
+band of ``solver.PairEnergy``, one banded LU per step), and compare with
+the limit value sigma(beta) * rho(t0)^(3/2) at the interface location t0
+fixed by the limit constraint.  The gap must shrink as eps decreases.  The
 weighted pair energy is ``solver.PairEnergy`` with eta weights: the
 transition energy behind sigma is its eta = 1, eps = 1 case, with the same
 quadrature.
@@ -18,9 +18,10 @@ energy is a single closed-form number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 
 from . import analytic, solver, tf_geometry
 from .grid import Grid1D
@@ -210,6 +211,7 @@ class GammaRow:
     gap: float
     mass_res_1: float
     mass_res_2: float
+    newton_steps: int = field(repr=False, default=0)  # bordered Newton steps of the solve
     v: np.ndarray = field(repr=False, default=None)
     phi: np.ndarray = field(repr=False, default=None)
     eta: GroundState = field(repr=False, default=None)
@@ -222,90 +224,104 @@ def interface_location(alpha1: float) -> float:
     return tf_geometry._halfline_cut(alpha1, TF_MODEL)
 
 
-# Augmented-penalty continuation: STAGES stages, the penalty weight starting
-# at MU0 and growing tenfold per stage, MULTIPLIER_UPDATES inner solves per
-# stage; the inner tolerance falls from 1e-4 tenfold per stage to INNER_TOL.
-STAGES = 4
-MU0 = 10.0
-MULTIPLIER_UPDATES = 3
-INNER_TOL = 1e-6
-INNER_STEPS = 1600  # Newton half-steps per inner solve
-V_HI = 1.5          # amplitude box; the mass constraint lets v exceed 1
+KKT_TOL = 1e-6  # stop: max-norm of the projected grad of the Lagrangian and of c1, c2
+MAX_STEPS = 50  # bordered Newton steps of one constrained solve; 2-5 at alpha1 = 1/2
 
 
 @dataclass(frozen=True)
-class _PenalizedPair:
-    """eps F plus the augmented penalty of the two mass constraints.
+class _MassConstraints:
+    """c1 = sum m v^2 - 1 and c2 = sum m v^2 cos(phi) - target2, m = h w eta^2,
+    on the interleaved pair x = (v_0, phi_0, v_1, phi_1, ...): their values,
+    their gradients as the columns of an (x.size, 2) array, and lam1 hess(c1)
+    + lam2 hess(c2) added to a band in LAPACK lower storage."""
 
-    c1 = sum m v^2 - 1 and c2 = sum m v^2 cos(phi) - target2 with
-    m = h w eta^2; the penalty is lam1 c1 + lam2 c2 + (mu/2)(c1^2 + c2^2)
-    at fixed multipliers.  In each block's curvature the multiplier forces
-    q = lam + mu c add q times the constraint Hessians (diagonal), and the
-    rank-one terms mu grad(c) grad(c)^T enter as Woodbury columns.
-    """
-
-    pair: solver.PairEnergy  # eps F
     mass: np.ndarray
     target2: float
-    lam1: float
-    lam2: float
-    mu: float
 
-    def constraints(self, mv2, cos_phi) -> tuple[float, float]:
-        """c1 and c2 from m v^2 per node and cos(phi)."""
-        return float(np.sum(mv2)) - 1.0, float(np.sum(mv2 * cos_phi)) - self.target2
+    def values(self, x) -> np.ndarray:
+        mv2 = self.mass * x[0::2] ** 2
+        return np.array([np.sum(mv2) - 1.0, np.sum(mv2 * np.cos(x[1::2])) - self.target2])
 
-    def _penalized(self, energy: float, c1: float, c2: float) -> float:
-        return (energy + self.lam1 * c1 + self.lam2 * c2
-                + 0.5 * self.mu * (c1 * c1 + c2 * c2))
+    def gradients(self, x) -> np.ndarray:
+        mv, phi = self.mass * x[0::2], x[1::2]
+        grad2 = solver._interleave(2.0 * mv * np.cos(phi), -mv * x[0::2] * np.sin(phi))
+        return np.column_stack((solver._interleave(2.0 * mv, np.zeros(mv.size)), grad2))
 
-    def phi_block(self, v) -> solver.Block:
-        """The penalized objective in phi at frozen v; m v^2 computed once."""
-        block = self.pair.phi_block(v)
-        mv2 = self.mass * v * v
+    def add_hessian(self, ab, x, lam):
+        mv, phi = self.mass * x[0::2], x[1::2]
+        ab[0, 0::2] += 2.0 * self.mass * (lam[0] + lam[1] * np.cos(phi))
+        ab[0, 1::2] -= lam[1] * mv * x[0::2] * np.cos(phi)
+        ab[1, 0::2] -= 2.0 * lam[1] * mv * np.sin(phi)
+        return ab
 
-        def energy(phi):
-            return self._penalized(block.energy(phi), *self.constraints(mv2, np.cos(phi)))
 
-        def gradient(phi):
-            q2 = self.lam2 + self.mu * self.constraints(mv2, np.cos(phi))[1]
-            g = block.gradient(phi)
-            g -= q2 * self.mass * v * v * np.sin(phi)
-            return g
+def _bordered_step(ab, fixed, grad, a, c):
+    """Newton step (d, dlam) of the KKT system H d + A dlam = -grad, A^T d = -c,
+    H a symmetric band of half-width 3 in LAPACK lower storage (``ab``; its
+    rows in ``fixed`` are pinned in place and held).  One banded LU
+    (``gbsv``) solves H for -grad and the columns ``a`` of A; the 2 x 2
+    Schur complement A^T H^-1 A gives dlam (Nocedal & Wright, ch. 16).  A
+    singular or non-finite system raises ``LinAlgError``.
+    """
+    lu = np.zeros((10, grad.size), order="F")  # gbsv storage: lu[6 + i - j, j] = H[i, j]
+    lu[6:] = solver.pin_band(ab, fixed)
+    for k in range(1, 4):
+        lu[6 - k, k:] = ab[k, :-k]
+    _, _, z, info = dgbsv(3, 3, lu, np.column_stack((-grad, a)), overwrite_ab=1, overwrite_b=1)
+    if info > 0 or not np.isfinite(z).all():
+        raise np.linalg.LinAlgError("singular or non-finite Newton system")
+    z[fixed] = 0.0
+    dlam = np.linalg.solve(a.T @ z[:, 1:], a.T @ z[:, 0] + c)
+    return z[:, 0] - z[:, 1:] @ dlam, dlam
 
-        def curvature(phi):
-            cos_phi = np.cos(phi)
-            q2 = self.lam2 + self.mu * self.constraints(mv2, cos_phi)[1]
-            kin, off, pot, _ = block.curvature(phi)
-            pot -= q2 * mv2 * cos_phi
-            return kin, off, pot, (-math.sqrt(self.mu) * mv2 * np.sin(phi),)
 
-        return solver.Block(energy, gradient, curvature)
+def _constrained_newton(objective, constraints, x, fixed):
+    """Bordered projected Newton: min ``objective`` subject to ``constraints``
+    = 0, v >= 0 and phi in [0, pi], from lam = 0.  Rows on a bound stay in
+    the system, as in ``solver.projected_newton``.  The merit is the
+    augmented Lagrangian at the new multipliers, weight 10; where the step
+    does not descend on it (near a saddle: beta = 1e4, uneven mass split),
+    the free diagonal is shifted by 1e-5, 1e-4, ... times its largest entry.
+    Returns ``(x, steps, pg, why)``: pg the max-norm of the projected
+    gradient of the Lagrangian, why None on convergence, else the reason.
+    """
+    hi = np.tile([np.inf, np.pi], x.size // 2)
+    lam = np.zeros(2)
+    steps = 0
 
-    def v_block(self, phi) -> solver.Block:
-        """The penalized objective in v at frozen phi; cos(phi) computed once."""
-        block = self.pair.v_block(phi)
-        cos_phi = np.cos(phi)
+    def merit(x):  # at the current multipliers
+        c = constraints.values(x)
+        return objective.energy(x) + lam @ c + 5.0 * (c @ c)
 
-        def energy(v):
-            return self._penalized(block.energy(v), *self.constraints(self.mass * v * v, cos_phi))
-
-        def force(v):  # q1 + q2 cos(phi)
-            c1, c2 = self.constraints(self.mass * v * v, cos_phi)
-            return (self.lam1 + self.mu * c1) + (self.lam2 + self.mu * c2) * cos_phi
-
-        def gradient(v):
-            g = block.gradient(v)
-            g += 2.0 * self.mass * v * force(v)
-            return g
-
-        def curvature(v):
-            kin, off, pot, _ = block.curvature(v)
-            pot += 2.0 * self.mass * force(v)
-            mv = 2.0 * math.sqrt(self.mu) * self.mass * v
-            return kin, off, pot, (mv, mv * cos_phi)
-
-        return solver.Block(energy, gradient, curvature)
+    while True:
+        g = np.where(fixed, 0.0, objective.gradient(x))
+        c = constraints.values(x)
+        a = np.where(fixed[:, None], 0.0, constraints.gradients(x))
+        pg = np.abs(solver._projected(x, g + a @ lam, 0.0, hi)).max()
+        if pg <= KKT_TOL and np.abs(c).max() <= KKT_TOL:
+            return x, steps, pg, None
+        if steps == MAX_STEPS:
+            return x, steps, pg, f"the budget of {MAX_STEPS} steps is spent"
+        steps += 1
+        ab = constraints.add_hessian(objective.curvature(x), x, lam)
+        held = fixed | (ab[0] == 0.0)  # no curvature: phi where v vanishes around it
+        tau, top = 0.0, np.abs(ab[0]).max()
+        while True:  # shift the free diagonal by tau until the step descends on the merit
+            try:
+                d, dlam = _bordered_step(ab, held, g + a @ lam, a, c)
+            except np.linalg.LinAlgError as exc:
+                return x, steps, pg, f"the Newton system failed ({exc})"
+            gm = g + a @ (lam + dlam + 10.0 * c)
+            if solver.dot(gm, d) < 0.0 or tau > top:
+                break
+            ab[0, ~held] += max(9.0 * tau, 1e-5 * top)
+            tau = max(10.0 * tau, 1e-5 * top)
+        lam = lam + dlam
+        value = merit(x)
+        x_new, value_new = solver.arc_search(merit, value, x, d, gm, 0.0, hi, fixed)
+        if not value_new <= value:
+            return x, steps, pg, "the line search stalled"
+        x = x_new
 
 
 def minimize_weighted_pair(
@@ -317,20 +333,18 @@ def minimize_weighted_pair(
 ) -> GammaRow:
     """Minimize eps * F under both mass constraints; report the limit gap.
 
-    Constraints are enforced by an augmented penalty tightened over
-    continuation: the quadratic weight grows tenfold per stage while the
-    linear multipliers absorb the constraint forces, so the final mass
-    residuals drop below 1e-6 without an ill-conditioned penalty.  Each
-    inner minimization is ``solver.alternating_newton`` on
-    ``_PenalizedPair``, the penalty curvature entering each block as
-    low-rank columns.  Each call starts cold from the plateau pair at t0.  If
-    the last inner solve ends above ``INNER_TOL``, ConvergenceError carries
-    the row.
+    Bordered projected Newton (``_constrained_newton``) from the plateau pair
+    at t0; the constraints hold to ``KKT_TOL``.  The Lagrangian Hessian is
+    factored by LU, not Cholesky: it is indefinite.  Its negative direction
+    (eigenvalue -9.1e-5 at the minimizer for beta = 1, eps = 0.04), peaked
+    on phi at t0, translates the interface, which only the second mass
+    constraint holds at the density maximum; on the constraint tangent space
+    the Hessian is positive definite.  A spent budget, a stalled line search
+    or a singular system raises ConvergenceError carrying the row.
     """
     eps = _check_eps(eps)
     beta = analytic._check_beta(beta)
     t0 = interface_location(alpha1)
-    alpha2 = 1.0 - alpha1
     if eta is None:
         eta = solve_ground_state(eps)
     if sigma is None:
@@ -348,25 +362,18 @@ def minimize_weighted_pair(
     v = v / math.sqrt(float(np.sum(mass * v * v)))
 
     # Outside the cloud plus a margin every energy weight has decayed below
-    # double-precision relevance; freezing the fields there removes a large
-    # block of indifferent directions that would otherwise stall the solve.
+    # double precision; freezing the fields there keeps the Newton system regular.
     frozen = np.abs(x) > TF_LAMBDA + 0.35
     frozen[0] = frozen[-1] = True
 
-    problem = _PenalizedPair(_weighted_energy(eta, eps, beta, scale=eps), mass,
-                             alpha1 - alpha2, 0.0, 0.0, MU0)
-    for stage in range(STAGES):
-        tol = max(INNER_TOL, 1e-4 * 10.0 ** (-stage))
-        for _ in range(MULTIPLIER_UPDATES):
-            v, phi, _, pg = solver.alternating_newton(problem, v, phi, frozen, frozen, V_HI,
-                                                      tol, INNER_STEPS)
-            c1, c2 = problem.constraints(mass * v * v, np.cos(phi))
-            problem = replace(problem, lam1=problem.lam1 + problem.mu * c1,
-                              lam2=problem.lam2 + problem.mu * c2)
-        problem = replace(problem, mu=10.0 * problem.mu)
+    constraints = _MassConstraints(mass, 2.0 * alpha1 - 1.0)  # alpha1 - alpha2
+    pair, steps, pg, why = _constrained_newton(
+        _weighted_energy(eta, eps, beta, scale=eps).joint(), constraints,
+        solver._interleave(v, phi), solver._interleave(frozen, frozen))
+    v, phi = pair[0::2], pair[1::2]
 
     scaled = eps * weighted_pair_energy(v, phi, eps, beta, eta).total
-    c1, c2 = problem.constraints(mass * v * v, np.cos(phi))
+    c1, c2 = constraints.values(pair)
     row = GammaRow(
         eps=eps,
         beta=beta,
@@ -375,14 +382,16 @@ def minimize_weighted_pair(
         gap=scaled - limit_energy,
         mass_res_1=abs(c1),
         mass_res_2=abs(c2),
+        newton_steps=steps,
         v=v,
         phi=phi,
         eta=eta,
     )
-    if pg > INNER_TOL:
+    if why is not None:
         raise solver.ConvergenceError(
-            f"constrained pair stalled at projected gradient {pg:.3e} "
-            f"above {INNER_TOL:.0e} at eps={eps:g}", row)
+            f"constrained pair stopped at projected gradient {pg:.3e} and mass residual "
+            f"{max(abs(c1), abs(c2)):.3e} above {KKT_TOL:.0e} at eps={eps:g} after "
+            f"{steps} Newton steps: {why}", row)
     return row
 
 

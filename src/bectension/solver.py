@@ -184,7 +184,7 @@ class PairEnergy:
 
         def curvature(phi):
             a = v_terms[2] / (8.0 * h)
-            return _scatter(np.zeros(phi.size), a, a), -a, force * np.cos(2.0 * phi), ()
+            return _scatter(np.zeros(phi.size), a, a), -a, force * np.cos(2.0 * phi)
 
         return Block(energy, gradient, curvature)
 
@@ -216,7 +216,7 @@ class PairEnergy:
             b = dphi2 / (8.0 * h)
             _scatter(diag, self.node[:-1] * b, self.node[1:] * b)
             diag += 1.5 * beta * h * pot * v2 * sin2
-            return _scatter(np.zeros(v.size), a, a), -a, diag, ()
+            return _scatter(np.zeros(v.size), a, a), -a, diag
 
         return Block(energy, gradient, curvature)
 
@@ -248,7 +248,7 @@ class PairEnergy:
             v, phi = x[0::2], x[1::2]
             ab = np.zeros((4, x.size), order="F")
             blocks = (self.v_block(phi).curvature(v), self.phi_block(v).curvature(phi))
-            for k, (kin, off, pot, _) in enumerate(blocks):
+            for k, (kin, off, pot) in enumerate(blocks):
                 ab[0, k::2] = kin + pot
                 ab[2, k:-2:2] = off
             dphi = np.diff(phi)
@@ -291,8 +291,8 @@ def _projected(x, g, lo, hi):
     return np.where(x <= lo, np.minimum(g, 0.0), np.where(x >= hi, np.maximum(g, 0.0), g))
 
 
-def _projected_gradient_norm(v, phi, gv, gphi, v_hi: float = 1.0, mirror: bool = False) -> float:
-    pv, pphi = _projected(v, gv, 0.0, v_hi), _projected(phi, gphi, 0.0, np.pi)
+def _projected_gradient_norm(v, phi, gv, gphi, mirror: bool = False) -> float:
+    pv, pphi = _projected(v, gv, 0.0, 1.0), _projected(phi, gphi, 0.0, np.pi)
     if mirror:  # node 0 of a half line: the full-line gradient there is twice as large
         pv[0] *= 2.0
         pphi[0] *= 2.0
@@ -300,7 +300,8 @@ def _projected_gradient_norm(v, phi, gv, gphi, v_hi: float = 1.0, mirror: bool =
 
 
 # ---------------------------------------------------------------------------
-# banded projected Newton (shared with gp_validation)
+# banded projected Newton; gp_validation's ground state uses ``banded_solve``
+# and its constrained pair ``pin_band``
 # ---------------------------------------------------------------------------
 
 def banded_solve(diag, off, fixed, *columns):
@@ -327,20 +328,26 @@ def banded_solve(diag, off, fixed, *columns):
 
 def tridiagonal_newton(curvature, x, fixed, g):
     """Newton direction of a block model: ``curvature(x)`` returns
-    ``(kin, off, pot, cols)``, a tridiagonal part (diagonal ``kin + pot``,
+    ``(kin, off, pot)``, a tridiagonal matrix (diagonal ``kin + pot``,
     off-diagonal ``off``) whose potential diagonal ``pot`` is shifted until
-    it is nonnegative on the free rows, so the model stays positive definite,
-    plus low-rank columns U adding U U^T, folded in by a Woodbury correction.
+    it is nonnegative on the free rows, so the model stays positive definite.
     """
-    kin, off, pot, cols = curvature(x)
+    kin, off, pot = curvature(x)
     free = ~fixed
     shift = max(0.0, -pot[free].min()) if free.any() else 0.0
-    Z = banded_solve(kin + pot + shift, off, fixed, -g, *cols)
-    d = Z[:, 0]
-    if cols:  # pinned rows of Z are zero, so U needs no masking there
-        U, ZU = np.column_stack(cols), Z[:, 1:]
-        d = d - ZU @ np.linalg.solve(np.eye(len(cols)) + U.T @ ZU, U.T @ d)
-    return d
+    return banded_solve(kin + pot + shift, off, fixed, -g)[:, 0]
+
+
+def pin_band(ab, fixed):
+    """Decouple the rows in ``fixed`` of a symmetric band in LAPACK lower
+    storage, in place: a unit diagonal and no coupling to their neighbours.
+    """
+    pinned = np.flatnonzero(fixed)
+    ab[1:, pinned] = 0.0
+    for k in range(1, ab.shape[0]):
+        ab[k, pinned[pinned >= k] - k] = 0.0
+    ab[0, pinned] = 1.0
+    return ab
 
 
 def band_newton(curvature, x, fixed, g):
@@ -354,23 +361,14 @@ def band_newton(curvature, x, fixed, g):
     with b = 1e-3 max|diag| (Nocedal & Wright, Alg. 3.3).  A non-finite
     band or direction raises ``ValueError``.
     """
-    free, pinned = ~fixed, np.flatnonzero(fixed)
+    free = ~fixed
     rhs = np.where(fixed, 0.0, -g)
-
-    def band():
-        ab = curvature(x)
-        ab[1:, pinned] = 0.0
-        for k in range(1, ab.shape[0]):
-            ab[k, pinned[pinned >= k] - k] = 0.0
-        ab[0, pinned] = 1.0
-        return ab
-
-    ab, tau = band(), 0.0
+    ab, tau = pin_band(curvature(x), fixed), 0.0
     while True:
         _, d, info = dpbsv(ab, rhs, lower=1, overwrite_ab=1)
         if info == 0:
             break
-        ab = band()  # the failed factorization overwrote it
+        ab = pin_band(curvature(x), fixed)  # the failed factorization overwrote it
         if tau == 0.0:
             if not np.isfinite(ab).all():
                 raise ValueError("band model has a non-finite entry")
@@ -389,6 +387,33 @@ def band_newton(curvature, x, fixed, g):
 Block = namedtuple("Block", "energy gradient curvature newton", defaults=(tridiagonal_newton,))
 
 
+def dot(a, b) -> float:
+    """a . b of two 1-D arrays, summed on the calling thread (``einsum``, no
+    BLAS): OpenBLAS splits a dot product above 10 000 entries over its worker
+    threads, which then spin on the other cores for a while after the call."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def arc_search(merit, value, x, d, g, lo, hi, fixed):
+    """Backtrack along the projected arc P(x + alpha d), alpha = 1, 1/2, ...
+    down to 1e-16, until ``merit`` passes the Armijo test against ``value``,
+    its value at ``x``; -P ``g``, the projected gradient of the merit,
+    replaces a ``d`` that does not descend.  Returns the last trial point and
+    its merit."""
+    slope = dot(g, d)
+    if not np.isfinite(slope) or slope >= 0.0:
+        d = -_projected(x, g, lo, hi)
+        slope = dot(g, d)
+    alpha = 1.0
+    while True:
+        x_new = np.clip(x + alpha * d, lo, hi)
+        x_new[fixed] = x[fixed]
+        value_new = merit(x_new)
+        if value_new <= value + 1e-4 * alpha * slope or alpha < 1e-16:
+            return x_new, value_new
+        alpha *= 0.5
+
+
 def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=None):
     """Projected damped Newton in the box [lo, hi].
 
@@ -398,13 +423,12 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
     ``lo``, ``hi`` and ``tol`` are scalars or one entry per row; the loop
     stops when every projected-gradient entry is within its ``tol``.  Rows
     in ``fixed`` never move.  Nodes resting on a box bound stay in the
-    system so one step can detach whole flat regions; the projected arc and
-    the Armijo search take care of any step component leaving the box, with
-    -P grad E as the fallback direction.  The energy never increases.  The
-    loop stops as a stall at machine precision when no step length lowers
-    the energy, or when a step left the energy unchanged and the max-norm of
-    the projected gradient did not fall below its least value since the
-    energy last fell.
+    system so one step can detach whole flat regions; ``arc_search`` takes
+    care of any step component leaving the box.  The energy never increases.
+    The loop stops as a stall at machine precision when no step length
+    lowers the energy, or when a step left the energy unchanged and the
+    max-norm of the projected gradient did not fall below its least value
+    since the energy last fell.
 
     ``value`` and ``g`` (pinned rows zeroed) are the energy and gradient at
     ``x`` when the caller has them.  Returns ``(x, steps, value, g)``: ``g``
@@ -428,18 +452,7 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
         steps += 1
 
         d = objective.newton(objective.curvature, x, fixed, g)
-        slope = g @ d
-        if not np.isfinite(slope) or slope >= 0.0:
-            d = -pg
-            slope = g @ d
-        alpha = 1.0
-        while True:
-            x_new = np.clip(x + alpha * d, lo, hi)
-            x_new[fixed] = x[fixed]
-            value_new = objective.energy(x_new)
-            if value_new <= value + 1e-4 * alpha * slope or alpha < 1e-16:
-                break
-            alpha *= 0.5
+        x_new, value_new = arc_search(objective.energy, value, x, d, g, lo, hi, fixed)
         if value_new > value:  # stalled at machine precision; stay monotone
             break
         least = min(least, norm) if value_new == value else math.inf
@@ -455,16 +468,15 @@ BLOCK_STEPS = 40          # Newton steps per block and round
 MAX_HALF_STEPS = 200_000  # budget of Newton steps (block and joint) of one unit solve
 
 
-def alternating_newton(problem, v, phi, fixed_v, fixed_phi, v_hi, tol, max_steps, mirror=False,
-                       max_rounds=math.inf):
+def alternating_newton(problem, v, phi, fixed_v, fixed_phi, tol, mirror=False, max_rounds=math.inf):
     """Alternate projected Newton on phi at fixed v and on v at fixed phi.
 
     ``problem`` supplies the blocks ``phi_block(v)`` and ``v_block(phi)``,
-    the objectives ``projected_newton`` takes.  The boxes are [0, v_hi] and
+    the objectives ``projected_newton`` takes.  The boxes are [0, 1] and
     [0, pi]; rows in ``fixed_v`` and ``fixed_phi`` never move.  Each block
     takes at most BLOCK_STEPS steps towards a quarter of ``tol`` and starts
     from the energy the previous block stopped at.  The rounds stop when the
-    max-norm of the projected gradient reaches ``tol``, when ``max_steps``
+    max-norm of the projected gradient reaches ``tol``, when MAX_HALF_STEPS
     half-steps are spent or after ``max_rounds`` rounds; ``mirror`` counts
     node 0 twice in that norm.
     Returns (v, phi, half_steps, final projected-gradient norm).
@@ -474,24 +486,24 @@ def alternating_newton(problem, v, phi, fixed_v, fixed_phi, v_hi, tol, max_steps
     value = gphi = None
     phi_block = problem.phi_block(v)
     rounds = 0
-    while steps < max_steps and rounds < max_rounds:
+    while steps < MAX_HALF_STEPS and rounds < max_rounds:
         rounds += 1
         phi, s_phi, value, _ = projected_newton(
             phi, 0.0, np.pi, fixed_phi, phi_block, block_tol,
-            min(BLOCK_STEPS, max_steps - steps), value, gphi)
+            min(BLOCK_STEPS, MAX_HALF_STEPS - steps), value, gphi)
         steps += s_phi
         del phi_block  # one block's arrays alive at a time
         v_block = problem.v_block(phi)
         v, s_v, value, gv = projected_newton(
-            v, 0.0, v_hi, fixed_v, v_block, block_tol,
-            min(BLOCK_STEPS, max_steps - steps), value)
+            v, 0.0, 1.0, fixed_v, v_block, block_tol,
+            min(BLOCK_STEPS, MAX_HALF_STEPS - steps), value)
         steps += s_v
         if gv is None:
             gv = np.where(fixed_v, 0.0, v_block.gradient(v))
         del v_block
         phi_block = problem.phi_block(v)  # also the next round's phi block
         gphi = np.where(fixed_phi, 0.0, phi_block.gradient(phi))
-        pg = _projected_gradient_norm(v, phi, gv, gphi, v_hi, mirror)
+        pg = _projected_gradient_norm(v, phi, gv, gphi, mirror)
         if pg <= tol:
             break
     return v, phi, steps, pg
@@ -520,7 +532,7 @@ def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps):
     if g is None:
         g = np.where(fixed, 0.0, objective.gradient(x))
     v, phi = x[0::2], x[1::2]
-    return v, phi, steps, _projected_gradient_norm(v, phi, g[0::2], g[1::2], 1.0, True)
+    return v, phi, steps, _projected_gradient_norm(v, phi, g[0::2], g[1::2], True)
 
 
 def alternating_refine(
@@ -542,10 +554,8 @@ def alternating_refine(
     grid = pair.grid
     fixed = np.zeros(grid.n_points, dtype=bool)
     fixed[0] = fixed[-1] = True
-    v, phi, steps, _ = alternating_newton(
-        PairEnergy.unit(beta, grid), pair.v.copy(), pair.phi.copy(), fixed, fixed, 1.0,
-        grad_tol, MAX_HALF_STEPS,
-    )
+    v, phi, steps, _ = alternating_newton(PairEnergy.unit(beta, grid), pair.v.copy(),
+                                          pair.phi.copy(), fixed, fixed, grad_tol)
     return ProfilePair(grid, v, phi), steps
 
 
@@ -701,8 +711,8 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
     phi[0] = 0.5 * np.pi
     energy, fixed_v, fixed_phi = half_line_problem(beta, grid)
     tol = config.grad_tol
-    v, phi, block_steps, pg = alternating_newton(energy, v, phi, fixed_v, fixed_phi, 1.0, tol,
-                                                 MAX_HALF_STEPS, mirror=True, max_rounds=1)
+    v, phi, block_steps, pg = alternating_newton(energy, v, phi, fixed_v, fixed_phi, tol,
+                                                 mirror=True, max_rounds=1)
     joint_steps = 0
     if pg > tol:
         v, phi, joint_steps, pg = joint_newton(energy, v, phi, fixed_v, fixed_phi, tol,

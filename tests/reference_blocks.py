@@ -1,12 +1,10 @@
 """Reference block formulas: the two-field gradient and curvature of
-``solver.PairEnergy`` and the penalized energy, gradient and curvature of
-``gp_validation._PenalizedPair``, written with both fields as arguments and
-one branch per block.  The block objectives must reproduce them bit for bit,
-so every product keeps the association used here.  ``pair_mixed`` and
-``joint_hessian`` assemble the dense Hessian of ``PairEnergy.joint``.
+``solver.PairEnergy``, written with both fields as arguments and one branch
+per block.  The block objectives must reproduce them bit for bit, so every
+product keeps the association used here.  ``pair_mixed`` and
+``joint_hessian`` assemble the dense Hessian of ``PairEnergy.joint``, and
+``lagrangian_hessian`` adds the two mass constraints of the gamma table.
 """
-
-import math
 
 import numpy as np
 
@@ -53,7 +51,7 @@ def pair_curvature(e, v, phi, block):
         pot = 0.25 * beta * h * e.pot * v2 * v2 * np.cos(2.0 * phi)
     kin[:-1] += a
     kin[1:] += a
-    return kin, -a, pot, ()
+    return kin, -a, pot
 
 
 def pair_mixed(e, v, phi):
@@ -76,7 +74,7 @@ def joint_hessian(e, v, phi):
     n = v.size
     hess = np.zeros((2 * n, 2 * n))
     for k, block in enumerate(("v", "phi")):
-        kin, off, pot, _ = pair_curvature(e, v, phi, block)
+        kin, off, pot = pair_curvature(e, v, phi, block)
         hess[k::2, k::2] = np.diag(kin + pot) + np.diag(off, 1) + np.diag(off, -1)
     m = pair_mixed(e, v, phi)
     hess[0::2, 1::2] = m
@@ -84,46 +82,29 @@ def joint_hessian(e, v, phi):
     return hess
 
 
-def penalized_constraints(p, v, phi):
-    m = p.mass * v * v
-    return float(np.sum(m)) - 1.0, float(np.sum(m * np.cos(phi))) - p.target2
+def lagrangian_hessian(e, mass, lam, v, phi):
+    """The dense Hessian of E + lam1 c1 + lam2 c2, interleaved as ``joint_hessian``,
+    with c1 = sum m v^2 - 1 and c2 = sum m v^2 cos(phi) - target: each
+    constraint Hessian couples v_i and phi_i only.
+    """
+    hess = joint_hessian(e, v, phi)
+    i = 2 * np.arange(v.size)
+    hess[i, i] += 2.0 * mass * (lam[0] + lam[1] * np.cos(phi))
+    hess[i + 1, i + 1] -= lam[1] * mass * v * v * np.cos(phi)
+    mixed = -2.0 * lam[1] * mass * v * np.sin(phi)
+    hess[i, i + 1] += mixed
+    hess[i + 1, i] += mixed
+    return hess
 
 
-def penalized_energy(p, v, phi):
-    c1, c2 = penalized_constraints(p, v, phi)
-    return (p.pair.terms(v, phi).total + p.lam1 * c1 + p.lam2 * c2
-            + 0.5 * p.mu * (c1 * c1 + c2 * c2))
-
-
-def _forces(p, v, phi):
-    c1, c2 = penalized_constraints(p, v, phi)
-    return p.lam1 + p.mu * c1, p.lam2 + p.mu * c2
-
-
-def penalized_gradient(p, v, phi, block):
-    q1, q2 = _forces(p, v, phi)
-    g = pair_gradient(p.pair, v, phi, block)
-    if block == "v":
-        g += 2.0 * p.mass * v * (q1 + q2 * np.cos(phi))
-    else:
-        g -= q2 * p.mass * v * v * np.sin(phi)
-    return g
-
-
-def penalized_curvature(p, v, phi, block):
-    q1, q2 = _forces(p, v, phi)
-    kin, off, pot, _ = pair_curvature(p.pair, v, phi, block)
-    root_mu = math.sqrt(p.mu)
-    cos_phi = np.cos(phi)
-    if block == "v":
-        pot += 2.0 * p.mass * (q1 + q2 * cos_phi)
-        mv = 2.0 * root_mu * p.mass * v
-        cols = (mv, mv * cos_phi)
-    else:
-        mv2 = p.mass * v * v
-        pot -= q2 * mv2 * cos_phi
-        cols = (-root_mu * mv2 * np.sin(phi),)
-    return kin, off, pot, cols
+def band_to_dense(ab):
+    """The symmetric matrix of a band in LAPACK lower storage."""
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for k in range(ab.shape[0]):
+        j = np.arange(n - k)
+        dense[j + k, j] = dense[j, j + k] = ab[k, :n - k]
+    return dense
 
 
 def assert_blocks_match(problem, v, phi, energy, gradient, curvature):
@@ -133,8 +114,6 @@ def assert_blocks_match(problem, v, phi, energy, gradient, curvature):
         assert block.energy(x) == energy(problem, v, phi)
         np.testing.assert_array_equal(block.gradient(x), gradient(problem, v, phi, name))
         got, want = block.curvature(x), curvature(problem, v, phi, name)
-        for a, b in zip(got[:3], want[:3]):
-            np.testing.assert_array_equal(a, b)
-        assert len(got[3]) == len(want[3])
-        for a, b in zip(got[3], want[3]):
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -310,6 +311,13 @@ class TestGamma:
         assert len(lines) == 3
         gaps = [abs(float(line.split(",")[4])) for line in lines[1:]]
         assert gaps[1] < gaps[0]
+        assert re.search(r"eps=0.05: gap .* of limit, \d+ Newton steps\)", err)
+
+    def test_strong_coupling_at_coarse_eps(self, capsys):
+        code, out, err = run_cli(capsys, "gamma", "--beta", "100", "--eps-list", "0.04")
+        assert code == 0, err
+        row = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+        assert float(row["mass_res_1"]) <= 1e-6 and float(row["mass_res_2"]) <= 1e-6
 
 
 class TestImport:

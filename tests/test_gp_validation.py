@@ -17,6 +17,12 @@ def eta_005():
     return gp.solve_ground_state(0.05)
 
 
+@pytest.fixture(scope="module")
+def eta_coarse():
+    """eps = 0.05 on a coarse grid, small enough for dense reference matrices."""
+    return gp.solve_ground_state(0.05, grid=Grid1D.from_spacing(gp.TF_LAMBDA + 2.0, 0.02))
+
+
 def l2_norm(state):
     w = state.grid.trapezoid_weights()
     return math.sqrt(state.grid.spacing * float(w @ (state.values**2)))
@@ -148,8 +154,7 @@ class TestWeightedPairDerivatives:
         blocks = {"v": energy.v_block(f["phi"]), "phi": energy.phi_block(f["v"])}
         for name, field in f.items():
             block = blocks[name]
-            kin, off, pot, cols = block.curvature(field)
-            assert cols == ()
+            kin, off, pot = block.curvature(field)
             diag = kin + pot
             scale = max(np.abs(diag).max(), np.abs(off).max())
             for j in self.probe_nodes(eta_005):
@@ -169,7 +174,7 @@ class TestWeightedPairDerivatives:
         f = self.fields(eta)
         x = eta.grid.nodes
         wiggle = rng.normal(0.0, 0.05) * np.sin(rng.uniform(3.0, 9.0) * x)
-        return np.clip(f["v"] + wiggle, 0.0, gp.V_HI), np.clip(f["phi"] + wiggle, 0.0, np.pi)
+        return np.clip(f["v"] + wiggle, 0.0, None), np.clip(f["phi"] + wiggle, 0.0, np.pi)
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
     def test_blocks_match_reference(self, eta_005, beta):
@@ -180,20 +185,127 @@ class TestWeightedPairDerivatives:
             ref.assert_blocks_match(energy, v, phi, lambda e, v, phi: e.terms(v, phi).total,
                                     ref.pair_gradient, ref.pair_curvature)
 
-    @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
-    def test_penalized_blocks_match_reference(self, eta_005, beta):
-        grid = eta_005.grid
-        mass = grid.spacing * grid.trapezoid_weights() * eta_005.values**2
+    def lagrangian_cases(self, eta, beta):
+        """(energy, constraints, x, lam): eps F and the two mass constraints at
+        random fields, targets and multipliers."""
+        grid = eta.grid
+        mass = grid.spacing * grid.trapezoid_weights() * eta.values**2
+        energy = gp._weighted_energy(eta, self.EPS, beta, scale=self.EPS)
         rng = np.random.default_rng(29)
         for _ in range(3):
-            problem = gp._PenalizedPair(gp._weighted_energy(eta_005, self.EPS, beta, scale=self.EPS),
-                                        mass, rng.uniform(-0.5, 0.5), rng.normal(), rng.normal(),
-                                        10.0 ** rng.uniform(1.0, 4.0))
-            v, phi = self.random_fields(eta_005, rng)
-            ref.assert_blocks_match(problem, v, phi, ref.penalized_energy,
-                                    ref.penalized_gradient, ref.penalized_curvature)
-            c = problem.constraints(mass * v * v, np.cos(phi))
-            assert c == ref.penalized_constraints(problem, v, phi)
+            v, phi = self.random_fields(eta, rng)
+            yield (energy, gp._MassConstraints(mass, rng.uniform(-0.5, 0.5)),
+                   solver._interleave(v, phi), rng.normal(size=2))
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
+    def test_lagrangian_band_is_the_dense_reference(self, eta_coarse, beta):
+        for energy, constraints, x, lam in self.lagrangian_cases(eta_coarse, beta):
+            band = constraints.add_hessian(energy.joint().curvature(x), x, lam)
+            want = ref.lagrangian_hessian(energy, constraints.mass, lam, x[0::2], x[1::2])
+            assert np.abs(ref.band_to_dense(band) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
+    def test_lagrangian_band_matches_central_differences(self, eta_005, beta):
+        rng = np.random.default_rng(31)
+        for energy, constraints, x, lam in self.lagrangian_cases(eta_005, beta):
+            joint = energy.joint()
+
+            def grad(x):
+                return joint.gradient(x) + constraints.gradients(x) @ lam
+
+            hess = ref.band_to_dense(constraints.add_hessian(joint.curvature(x), x, lam))
+            scale = np.abs(hess).max()
+            probes = 2 * self.probe_nodes(eta_005)
+            for j in rng.choice(np.concatenate([probes, probes + 1]), size=12, replace=False):
+                xp, xm = x.copy(), x.copy()
+                xp[j] += self.H_FD
+                xm[j] -= self.H_FD
+                fd = (grad(xp) - grad(xm)) / (2.0 * self.H_FD)
+                assert np.abs(fd - hess[:, j]).max() <= 1e-6 * scale
+
+
+class TestBorderedNewton:
+    """The constrained step on a quadratic: E = x^T H x / 2 - b^T x, A^T x = r."""
+
+    N = 16
+
+    def problem(self):
+        # H is banded (half-width 3) and indefinite: row 5 has a negative
+        # diagonal.  The first constraint fixes x_5, so the reduced Hessian is
+        # a principal submatrix of a diagonally dominant band: positive definite.
+        rng = np.random.default_rng(11)
+        n = self.N
+        hess = np.diag(rng.uniform(4.0, 5.0, n))
+        for k in range(1, 4):
+            off = rng.uniform(-0.4, 0.4, n - k)
+            hess += np.diag(off, k) + np.diag(off, -k)
+        hess[5, 5] = -1.0
+        a = np.column_stack((np.eye(n)[5], rng.uniform(0.5, 1.5, n)))
+        fixed = np.zeros(n, dtype=bool)
+        fixed[[0, -1]] = True
+        return rng, hess, a, fixed
+
+    def band(self, hess):
+        n = self.N
+        ab = np.zeros((4, n), order="F")
+        for k in range(4):
+            ab[k, :n - k] = np.diag(hess, -k)
+        return ab
+
+    def minimizer(self, rng, hess, a, fixed):
+        """A KKT point (x*, lam*) inside the box and the b, r that make it one."""
+        x_star = np.where(fixed, 0.0, rng.uniform(0.2, 0.8, self.N))
+        lam_star = rng.normal(size=2)
+        b = hess @ x_star + np.where(fixed[:, None], 0.0, a) @ lam_star
+        return x_star, lam_star, b, a.T @ x_star
+
+    def test_one_bordered_step_lands_on_the_constrained_minimizer(self):
+        rng, hess, a, fixed = self.problem()
+        free = ~fixed
+        assert np.linalg.eigvalsh(hess[np.ix_(free, free)]).min() < 0.0
+        x_star, lam_star, b, r = self.minimizer(rng, hess, a, fixed)
+        x = np.where(fixed, 0.0, rng.uniform(0.2, 0.8, self.N))
+        lam = rng.normal(size=2)
+        grad = np.where(fixed, 0.0, hess @ x - b) + np.where(fixed[:, None], 0.0, a) @ lam
+        d, dlam = gp._bordered_step(self.band(hess), fixed, grad, a, a.T @ x - r)
+        assert np.all(d[fixed] == 0.0)
+        np.testing.assert_allclose(x + d, x_star, atol=1e-12)
+        np.testing.assert_allclose(lam + dlam, lam_star, atol=1e-12)
+
+    def quadratic(self, hess, b, a, r):
+        objective = solver.Block(lambda x: 0.5 * x @ hess @ x - b @ x, lambda x: hess @ x - b,
+                                 lambda x: self.band(hess))
+
+        class Linear:
+            def values(self, x):
+                return a.T @ x - r
+
+            def gradients(self, x):
+                return a.copy()
+
+            def add_hessian(self, ab, x, lam):
+                return ab
+
+        return objective, Linear()
+
+    def test_loop_takes_the_full_step_and_stops(self):
+        rng, hess, a, fixed = self.problem()
+        x_star, _, b, r = self.minimizer(rng, hess, a, fixed)
+        objective, constraints = self.quadratic(hess, b, a, r)
+        x0 = np.where(fixed, 0.0, x_star + rng.uniform(-0.1, 0.1, self.N))
+        x, steps, pg, why = gp._constrained_newton(objective, constraints, x0, fixed)
+        assert why is None and steps == 1 and pg <= gp.KKT_TOL
+        np.testing.assert_allclose(x, x_star, atol=1e-12)
+
+    def test_line_search_stall_is_named(self):
+        _, hess, a, fixed = self.problem()
+        objective, constraints = self.quadratic(hess, np.ones(self.N), a, np.ones(2))
+        x0 = np.where(fixed, 0.0, 0.5)
+        # an energy that every move raises without bound: no step length passes
+        bump = objective._replace(energy=lambda x: np.inf if np.any(x != x0) else 0.0)
+        x, steps, _, why = gp._constrained_newton(bump, constraints, x0, fixed)
+        assert why == "the line search stalled" and steps == 1
+        np.testing.assert_array_equal(x, x0)
 
 
 class TestDecomposition:
@@ -338,12 +450,44 @@ class TestConstrainedMinimization:
             gp.minimize_weighted_pair(0.05, 1.0, alpha1=1.5)
 
     def test_unconverged_inner_solve_raises_with_row(self, monkeypatch):
-        monkeypatch.setattr(gp, "INNER_STEPS", 1)
+        monkeypatch.setattr(gp, "MAX_STEPS", 1)
         with pytest.raises(solver.ConvergenceError, match="projected gradient") as err:
             gp.minimize_weighted_pair(0.08, 1.0, sigma=SIGMA_BETA_ONE)
+        assert "budget of 1 steps is spent" in str(err.value)
         row = err.value.result
         assert isinstance(row, gp.GammaRow)
         assert row.eps == 0.08 and row.v.shape == row.eta.values.shape
+        assert row.newton_steps == 1
+
+    def test_singular_newton_system_raises_with_row(self, monkeypatch):
+        def singular(kl, ku, lu, b, **kwargs):  # LAPACK's report of a zero pivot
+            return lu, np.zeros(b.shape[0], dtype=np.int32), b, 1
+
+        monkeypatch.setattr(gp, "dgbsv", singular)
+        with pytest.raises(solver.ConvergenceError, match="singular") as err:
+            gp.minimize_weighted_pair(0.08, 1.0, sigma=SIGMA_BETA_ONE)
+        row = err.value.result
+        assert isinstance(row, gp.GammaRow) and row.newton_steps == 1
+
+    def test_rows_without_curvature_decouple(self):
+        # at beta = 1e4, eps = 0.01 a step sets v = 0 on a run of nodes near the
+        # cloud edge; the phi rows there lose all curvature, and without
+        # pinning them the third factorization is singular
+        row = gp.minimize_weighted_pair(0.01, 1e4, sigma=1.0)
+        assert row.mass_res_1 <= 1e-6 and row.mass_res_2 <= 1e-6
+
+    def test_saddle_is_left_by_a_diagonal_shift(self):
+        # an uneven split at strong coupling: from about the tenth step the
+        # unshifted Newton step does not descend on the merit, and -P grad
+        # alone does not converge within the budget
+        row = gp.minimize_weighted_pair(0.08, 1e4, alpha1=0.3, sigma=1.0)
+        assert row.mass_res_1 <= 1e-6 and row.mass_res_2 <= 1e-6
+        assert row.newton_steps <= 25
+
+    def test_strong_coupling_at_coarse_eps_converges(self):
+        row = gp.minimize_weighted_pair(0.04, 100.0)
+        assert row.mass_res_1 <= 1e-6 and row.mass_res_2 <= 1e-6
+        assert 0 < row.newton_steps <= 10
 
     def test_csv_rows_schema(self):
         row = gp.GammaRow(eps=0.1, beta=1.0, scaled_energy=2.0, limit_energy=1.0,
