@@ -39,14 +39,7 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
         lines = [",".join(keys)] + [",".join(_fmt(row[k]) for k in keys) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        def clean(v):
-            if isinstance(v, (np.integer,)):
-                return int(v)
-            if isinstance(v, (np.floating,)):
-                return float(v)
-            return v
-        doc = [{k: clean(v) for k, v in row.items()} for row in rows]
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

@@ -58,7 +58,7 @@ def _gp_energy(u, x, eps, h, w) -> float:
     du = np.diff(u)
     pot = x * x
     return 0.5 * (
-        du @ du / h
+        solver.dot(du, du) / h
         + h / eps**2 * np.sum(w * pot * u * u)
         + h / (2.0 * eps**2) * np.sum(w * u**4)
     )
@@ -78,13 +78,14 @@ def solve_ground_state(eps: float, grid: Grid1D | None = None, tol: float = 1e-9
     """Minimize the single-component energy on the unit sphere of L2.
 
     Bordered Newton on the stationarity system g = mu * grad(c), c = 0, from
-    the normalized Thomas-Fermi profile: the tridiagonal Hessian and the
-    constraint gradient share one banded solve, and the constraint row is
-    eliminated by Sherman-Morrison.  Each step is renormalized.  Converged
-    when the max-norm of the sphere-tangent gradient falls below ``tol``;
-    otherwise ConvergenceError carries the last normalized state.  Boundary
-    values are pinned at zero; interior values of the result are strictly
-    positive.
+    the normalized Thomas-Fermi profile: the tridiagonal Hessian of the
+    Lagrangian and the constraint gradient share one Cholesky factorization
+    (``solver.band_solve``), and the constraint row is eliminated by
+    Sherman-Morrison.  Each step is renormalized.  Converged when the
+    max-norm of the sphere-tangent gradient falls below ``tol``.  A spent
+    budget of 60 steps, or a Hessian that is not positive definite, raises
+    ConvergenceError carrying the last normalized state.  Boundary values are
+    pinned at zero; interior values of the result are strictly positive.
     """
     eps = _check_eps(eps)
     grid = grid or default_eta_grid(eps)
@@ -98,32 +99,34 @@ def solve_ground_state(eps: float, grid: Grid1D | None = None, tol: float = 1e-9
     def normalize(a):
         a = np.clip(a, 0.0, None)
         a[0] = a[-1] = 0.0
-        nrm = math.sqrt(h * float(w @ (a * a)))
+        nrm = math.sqrt(h * solver.dot(w, a * a))
         return a / nrm
+
+    def stop(why):  # carries the last normalized state
+        return solver.ConvergenceError(f"ground state {why}", GroundState(
+            eps=eps, grid=grid, values=u, energy=_gp_energy(u, x, eps, h, w), iterations=steps))
 
     u = normalize(np.sqrt(np.maximum(TF_LAMBDA**2 - x * x, 0.0)) + 0.05)
     steps = 0
     while True:
         g = _gp_gradient(u, x, eps, h, w)
         gc = 2.0 * h * w * u  # gradient of the discrete norm constraint
-        mu = float(g @ gc) / float(gc @ gc)
+        mu = solver.dot(g, gc) / solver.dot(gc, gc)
         gt = g - mu * gc
         gt[0] = gt[-1] = 0.0
         if np.abs(gt).max() <= tol:
             break
         if steps == 60:
-            raise solver.ConvergenceError(
-                f"ground state stalled at tangent gradient {np.abs(gt).max():.3e}",
-                GroundState(eps=eps, grid=grid, values=u,
-                            energy=_gp_energy(u, x, eps, h, w), iterations=steps),
-            )
+            raise stop(f"stalled at tangent gradient {np.abs(gt).max():.3e}")
         steps += 1
-        c = h * float(w @ (u * u)) - 1.0
+        c = h * solver.dot(w, u * u) - 1.0
         diag = np.full(n, 2.0 / h) + h / eps**2 * w * (x * x + 3.0 * u * u) - mu * 2.0 * h * w
-        off = np.full(n - 1, -1.0 / h)
-        z1, z2 = solver.banded_solve(diag, off, fixed, -(g - mu * gc), gc).T
-        denom = float(gc @ z2)
-        dmu = (-c - float(gc @ z1)) / denom if denom != 0.0 else 0.0
+        ab = np.array([diag, np.full(n, -1.0 / h)])
+        try:
+            z1, z2 = solver.band_solve(ab, fixed, -(g - mu * gc), gc).T
+        except np.linalg.LinAlgError as exc:
+            raise stop(f"Newton system failed at step {steps} ({exc})") from None
+        dmu = (-c - solver.dot(gc, z1)) / solver.dot(gc, z2)
         u = normalize(u + z1 + dmu * z2)
     # The true state is strictly positive but decays below double precision
     # well before the boundary; floor the underflowed tail at a harmless

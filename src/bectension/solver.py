@@ -15,11 +15,11 @@ of damped projected Newton, both driven by ``projected_newton``:
 
 * one round of the two convex blocks (``alternating_newton``): phi at fixed
   v, then v at fixed phi, each strictly convex after the classical
-  substitutions sin(phi) and v^2, each step one tridiagonal solve;
+  substitutions sin(phi) and v^2, each step one tridiagonal Cholesky;
 * Newton on the interleaved pair (v_0, phi_0, v_1, phi_1, ...)
-  (``joint_newton``), whose Hessian is a band of half-width 3 solved by one
-  banded Cholesky per step.  v^2 phi'^2 is not jointly convex, so the band
-  is shifted by tau I when the factorization fails.
+  (``joint_newton``), whose Hessian is a band of half-width 3, one banded
+  Cholesky per step (both ``band_solve``).  v^2 phi'^2 is not jointly
+  convex, so the band is shifted by tau I when the factorization fails.
 
 The block round is cheap and safe far from the minimizer; at weak coupling
 (beta <= 1e-3 on the default grids) it already meets the tolerance, and the
@@ -48,7 +48,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpbsv
+from scipy.linalg.lapack import dpbsv, dptsv
 
 from . import analytic
 from .grid import Grid1D, ProfilePair, require_positive
@@ -151,7 +151,7 @@ class PairEnergy:
         dv = np.diff(v)
         v2 = v * v
         nv2 = self.node * v2
-        return ((self.cell * dv) @ dv / (2.0 * h), 0.25 * h * np.sum(self.pot * (1.0 - v2) ** 2),
+        return (dot(self.cell * dv, dv) / (2.0 * h), 0.25 * h * np.sum(self.pot * (1.0 - v2) ** 2),
                 nv2[:-1] + nv2[1:], self.pot * v2 * v2)
 
     def _terms(self, v_terms, dphi, sin2) -> EnergyBreakdown:
@@ -300,43 +300,9 @@ def _projected_gradient_norm(v, phi, gv, gphi, mirror: bool = False) -> float:
 
 
 # ---------------------------------------------------------------------------
-# banded projected Newton; gp_validation's ground state uses ``banded_solve``
+# banded projected Newton; gp_validation's ground state uses ``band_solve``
 # and its constrained pair ``pin_band``
 # ---------------------------------------------------------------------------
-
-def banded_solve(diag, off, fixed, *columns):
-    """Solve the symmetric tridiagonal system (diag, off) for every column.
-
-    Rows in ``fixed`` are pinned: they decouple from their neighbours and
-    their solution entries are zero.  All columns share one factorization
-    (LAPACK ``gtsv``); the result has one column per right-hand side.  A
-    singular system raises ``LinAlgError`` and a non-finite solution
-    ``ValueError``, so a NaN in the system never reaches the line search.
-    """
-    lower = np.where(fixed[:-1] | fixed[1:], 0.0, off)
-    rhs = np.array(columns).T  # Fortran order, so gtsv solves in place
-    rhs[fixed] = 0.0
-    # gtsv overwrites both off-diagonals: they must be separate arrays.
-    _, _, _, x, info = dgtsv(lower, np.where(fixed, 1.0, diag), lower.copy(), rhs,
-                             True, True, True, True)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular tridiagonal system")
-    if not np.isfinite(x).all():
-        raise ValueError("tridiagonal system has a non-finite solution")
-    return x
-
-
-def tridiagonal_newton(curvature, x, fixed, g):
-    """Newton direction of a block model: ``curvature(x)`` returns
-    ``(kin, off, pot)``, a tridiagonal matrix (diagonal ``kin + pot``,
-    off-diagonal ``off``) whose potential diagonal ``pot`` is shifted until
-    it is nonnegative on the free rows, so the model stays positive definite.
-    """
-    kin, off, pot = curvature(x)
-    free = ~fixed
-    shift = max(0.0, -pot[free].min()) if free.any() else 0.0
-    return banded_solve(kin + pot + shift, off, fixed, -g)[:, 0]
-
 
 def pin_band(ab, fixed):
     """Decouple the rows in ``fixed`` of a symmetric band in LAPACK lower
@@ -350,25 +316,63 @@ def pin_band(ab, fixed):
     return ab
 
 
+def band_solve(ab, fixed, *columns):
+    """Solve the symmetric positive-definite band ``ab`` (LAPACK lower
+    storage) for every column; the result has one column per right-hand side.
+
+    Rows in ``fixed`` are pinned (``pin_band``) and their solution entries
+    are zero.  All columns share one Cholesky factorization that overwrites
+    ``ab``: ``ptsv`` for two rows, ``pbsv`` (Fortran order) for more.  A band
+    that is not positive definite raises ``LinAlgError`` and a non-finite
+    solution ``ValueError``, so a NaN in the system never reaches the line search.
+    """
+    pin_band(ab, fixed)
+    rhs = np.array(columns).T  # Fortran order, so LAPACK solves in place
+    rhs[fixed] = 0.0
+    if ab.shape[0] == 2:
+        _, _, x, info = dptsv(ab[0], ab[1, :-1], rhs, True, True, True)
+    else:
+        _, x, info = dpbsv(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("band is not positive definite")
+    if not np.isfinite(x).all():
+        raise ValueError("band model has a non-finite solution")
+    return x
+
+
+def tridiagonal_newton(curvature, x, fixed, g):
+    """Newton direction of a block model: ``curvature(x)`` returns
+    ``(kin, off, pot)``, a tridiagonal matrix (diagonal ``kin + pot``,
+    off-diagonal ``off``) whose potential diagonal ``pot`` is shifted until
+    it is nonnegative on the free rows, so the model stays positive definite.
+    """
+    kin, off, pot = curvature(x)
+    free = ~fixed
+    shift = max(0.0, -pot[free].min()) if free.any() else 0.0
+    ab = np.zeros((2, x.size))
+    ab[0], ab[1, :-1] = kin + pot + shift, off
+    return band_solve(ab, fixed, -g)[:, 0]
+
+
 def band_newton(curvature, x, fixed, g):
     """Newton direction of a banded model: ``curvature(x)`` returns a fresh
     symmetric band in LAPACK lower storage (``ab[k, j]`` = H[j + k, j]).
 
     Rows in ``fixed`` decouple and their entries of the direction are zero.
-    One Cholesky (``pbsv``) factors the band in place.  If it fails, the
-    band is rebuilt with tau I added on the free rows, tau growing from
-    ``-min(diag) + b`` (or ``b`` when the diagonal is positive) by doubling,
-    with b = 1e-3 max|diag| (Nocedal & Wright, Alg. 3.3).  A non-finite
-    band or direction raises ``ValueError``.
+    ``band_solve`` factors the band in place.  If it is not positive
+    definite, the band is rebuilt with tau I added on the free rows, tau
+    growing from ``-min(diag) + b`` (or ``b`` when the diagonal is positive)
+    by doubling, with b = 1e-3 max|diag| (Nocedal & Wright, Alg. 3.3).  A
+    non-finite band or direction raises ``ValueError``.
     """
     free = ~fixed
-    rhs = np.where(fixed, 0.0, -g)
-    ab, tau = pin_band(curvature(x), fixed), 0.0
+    ab, tau = curvature(x), 0.0
     while True:
-        _, d, info = dpbsv(ab, rhs, lower=1, overwrite_ab=1)
-        if info == 0:
-            break
-        ab = pin_band(curvature(x), fixed)  # the failed factorization overwrote it
+        try:
+            return band_solve(ab, fixed, -g)[:, 0]
+        except np.linalg.LinAlgError:
+            pass
+        ab = curvature(x)  # the failed factorization overwrote it
         if tau == 0.0:
             if not np.isfinite(ab).all():
                 raise ValueError("band model has a non-finite entry")
@@ -377,9 +381,6 @@ def band_newton(curvature, x, fixed, g):
         else:
             tau *= 2.0
         ab[0, free] += tau
-    if not np.isfinite(d).all():
-        raise ValueError("band model has a non-finite solution")
-    return d
 
 
 # An objective for ``projected_newton``: the energy, its gradient (pinned

@@ -51,6 +51,15 @@ class TestBounds:
         br = analytic.sigma_bracket(3.7)
         assert float(row[1]) == br.lower and float(row[2]) == br.upper
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        _, out, _ = run_cli(capsys, "bounds", "--beta", "3.7", "--format", fmt)
+        path = tmp_path / f"bounds.{fmt}"
+        code, to_stdout, _ = run_cli(capsys, "bounds", "--beta", "3.7", "--format", fmt,
+                                     "--output", str(path))
+        assert code == 0 and to_stdout == ""
+        assert path.read_bytes() == out.encode()
+
 
 class TestValidation:
     def test_zero_beta_is_usage_error(self, capsys):
@@ -83,6 +92,7 @@ class TestValidation:
         ["sigma", "--beta", "1", "--grad-tol", "inf"],
         ["sigma", "--beta", "1", "--half-width", "0.5"],  # sigma 1.049 above its bracket
         ["gamma", "--beta", "1", "--eps-list", ","],
+        ["gamma", "--beta", "1", "--eps-list", "0.04,x"],
         ["gamma", "--beta", "1", "--eps-list", "0.04", "--alpha1", "1.5"],
         ["tf", "--dim", "1", "--alpha", "1.5"],
     ])
@@ -219,6 +229,14 @@ class TestSweep:
         assert len(lines) == 4  # header + 3 rows
         assert lines[0].startswith("beta,sigma,inf_v,")
         assert "sweep: 3 rows" in err
+
+    def test_weak_coupling_report(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--betas", "1e-3:1e-2:3-log")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+        weak = [line for line in err.splitlines() if line.startswith("weak coupling:")]
+        assert len(weak) == 1 and weak[0].endswith("pass=True")
+        assert "strong coupling" not in err
 
     def test_sweep_and_sigma_share_schema(self, capsys):
         _, sweep_out, _ = run_cli(capsys, "sweep", "--betas", "1:1:1-log", *FAST_GRID)

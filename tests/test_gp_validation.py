@@ -65,6 +65,17 @@ class TestGroundState:
         assert abs(l2_norm(state) - 1.0) <= 1e-12
         assert state.iterations > 0
 
+    def test_indefinite_hessian_raises_with_last_state(self, monkeypatch):
+        def indefinite(d, e, b, *overwrite):  # LAPACK's report of a non-positive pivot
+            return d, e, b, 1
+
+        monkeypatch.setattr(solver, "dptsv", indefinite)
+        with pytest.raises(solver.ConvergenceError, match="not positive definite") as err:
+            gp.solve_ground_state(0.05)
+        state = err.value.result
+        assert isinstance(state, gp.GroundState) and state.iterations == 1
+        assert abs(l2_norm(state) - 1.0) <= 1e-12
+
     def test_eps_domain(self):
         with pytest.raises(ValueError):
             gp.solve_ground_state(0.0)

@@ -242,16 +242,11 @@ class TestJointObjective:
         free = ~fixed
         assert np.linalg.eigvalsh(hess[np.ix_(free, free)]).min() < 0.0
         joint = energy.joint()
-        calls = []
-
-        def counting(x):
-            calls.append(1)
-            return joint.curvature(x)
-
         x = solver._interleave(v, phi)
         grad = np.where(fixed, 0.0, joint.gradient(x))
-        d = solver.band_newton(counting, x, fixed, grad)
-        assert len(calls) >= 2  # the band that failed, then at least one shifted rebuild
+        with pytest.raises(np.linalg.LinAlgError):  # the unshifted band fails
+            solver.band_solve(joint.curvature(x), fixed, -grad)
+        d = solver.band_newton(joint.curvature, x, fixed, grad)
         assert np.isfinite(d).all() and np.all(d[fixed] == 0.0)
         assert grad @ d < 0.0
         hi = solver._interleave(np.ones(n), np.full(n, np.pi))
@@ -487,29 +482,34 @@ class TestAlternatingRefine:
 
 
 class TestNewtonKernel:
-    def tridiagonal(self, n, rng):
-        off = -rng.uniform(0.5, 1.0, n - 1)
-        diag = 2.5 + rng.uniform(0.0, 1.0, n)
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        return diag, off, dense
+    BANDS = (2, 4)  # rows of the lower storage: tridiagonal and half-width 3
+
+    def band(self, rows, n, rng):
+        """A random diagonally dominant band in LAPACK lower storage and its matrix."""
+        ab = np.zeros((rows, n), order="F")
+        ab[0] = 2.5 + rng.uniform(0.0, 1.0, n)
+        for k in range(1, rows):
+            ab[k, :-k] = -rng.uniform(0.1, 0.3, n - k)
+        return ab, ref.band_to_dense(ab)
 
     def test_banded_solve_pins_rows_and_shares_columns(self):
         rng = np.random.default_rng(7)
         n = 12
-        diag, off, dense = self.tridiagonal(n, rng)
         fixed = np.zeros(n, dtype=bool)
         fixed[[0, 5, -1]] = True
-        b1, b2 = rng.normal(size=n), rng.normal(size=n)
-        inputs = [a.copy() for a in (diag, off, b1, b2)]
-        Z = solver.banded_solve(diag, off, fixed, b1, b2)
-        for before, after in zip(inputs, (diag, off, b1, b2)):
-            np.testing.assert_array_equal(before, after)  # LAPACK works on copies
         free = ~fixed
-        assert Z.shape == (n, 2)
-        assert np.all(Z[fixed] == 0.0)
-        for k, b in enumerate((b1, b2)):
-            expected = np.linalg.solve(dense[np.ix_(free, free)], b[free])
-            np.testing.assert_allclose(Z[free, k], expected, rtol=1e-12, atol=1e-14)
+        for rows in self.BANDS:
+            ab, dense = self.band(rows, n, rng)
+            b1, b2 = rng.normal(size=n), rng.normal(size=n)
+            inputs = [b1.copy(), b2.copy()]
+            Z = solver.band_solve(ab, fixed, b1, b2)
+            for before, after in zip(inputs, (b1, b2)):
+                np.testing.assert_array_equal(before, after)  # LAPACK works on copies
+            assert Z.shape == (n, 2)
+            assert np.all(Z[fixed] == 0.0)
+            for k, b in enumerate((b1, b2)):
+                expected = np.linalg.solve(dense[np.ix_(free, free)], b[free])
+                np.testing.assert_allclose(Z[free, k], expected, rtol=1e-12, atol=1e-14)
 
     def test_dot_is_the_inner_product(self):
         rng = np.random.default_rng(3)
@@ -519,27 +519,48 @@ class TestNewtonKernel:
         assert value == pytest.approx(float(np.sum(a * b)), rel=1e-12, abs=1e-10)
 
     def test_banded_solve_singular_raises(self):
+        # a zero or a negative pivot: the band is not positive definite
         n = 6
-        diag, off = np.ones(n), np.zeros(n - 1)
-        diag[3] = 0.0
         fixed = np.zeros(n, dtype=bool)
-        with pytest.raises(np.linalg.LinAlgError):
-            solver.banded_solve(diag, off, fixed, np.ones(n))
+        for rows in self.BANDS:
+            for pivot in (0.0, -1.0):
+                ab = np.zeros((rows, n), order="F")
+                ab[0] = 1.0
+                ab[0, 3] = pivot
+                with pytest.raises(np.linalg.LinAlgError):
+                    solver.band_solve(ab, fixed, np.ones(n))
 
-    # An infinite matrix entry is left out: pivoting on it can give a finite
-    # solution, the limit of the system as that entry grows.
+    # An infinite matrix entry is left out: the factorization can give a
+    # finite solution, the limit of the system as that entry grows.
     @pytest.mark.parametrize("where, bad", [("diag", np.nan), ("off", np.nan),
                                             ("rhs", np.nan), ("rhs", np.inf)])
     def test_banded_solve_non_finite_raises(self, where, bad):
         rng = np.random.default_rng(3)
         n = 10
-        diag, off, _ = self.tridiagonal(n, rng)
-        rhs = rng.normal(size=n)
-        {"diag": diag, "off": off, "rhs": rhs}[where][4] = bad
         fixed = np.zeros(n, dtype=bool)
         fixed[0] = fixed[-1] = True
-        with pytest.raises(ValueError, match="non-finite"):
-            solver.banded_solve(diag, off, fixed, rhs)
+        for rows in self.BANDS:
+            ab, _ = self.band(rows, n, rng)
+            rhs = rng.normal(size=n)
+            {"diag": ab[0], "off": ab[-1], "rhs": rhs}[where][4] = bad  # off: the outermost
+            with pytest.raises(ValueError, match="non-finite"):
+                solver.band_solve(ab, fixed, rhs)
+
+    def test_arc_search_falls_back_to_the_projected_gradient(self):
+        # d points uphill: the search steps along -P g instead, so the row
+        # resting on its bound with g pushing outwards stays where it is
+        target = np.array([0.0, 0.2, 0.9, 0.6])
+        x = np.array([0.0, 0.5, 0.5, 0.5])
+        fixed = np.array([False, False, False, True])
+
+        def merit(y):
+            return 0.5 * float(np.sum((y - target) ** 2))
+
+        g = np.where(fixed, 0.0, x - target)
+        g[0] = 1.0  # pushes x[0] below its bound 0
+        x_new, value = solver.arc_search(merit, merit(x), x, g.copy(), g, 0.0, 1.0, fixed)
+        np.testing.assert_array_equal(x_new, [0.0, 0.2, 0.9, 0.5])
+        assert value == merit(x_new) < merit(x)
 
     def test_nan_curvature_stops_the_solve(self):
         # without the finiteness check a NaN step passes the Armijo test
