@@ -29,17 +29,21 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def bisect(below, lo: float, hi: float) -> float:
+def bisect(below, lo, hi):
     """Midpoint of [lo, hi] after halving it down to 1e-12.
 
     ``below(x)`` is true left of the sought point and false right of it.
+    Array bounds of one width are halved elementwise through the same midpoints.
     """
-    while hi - lo > 1e-12:
+    if np.ndim(lo) == 0:
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return 0.5 * (lo + hi)
+    while np.max(hi - lo) > 1e-12:
         mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
+        left = below(mid)
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
     return 0.5 * (lo + hi)
 
 

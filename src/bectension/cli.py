@@ -9,6 +9,7 @@ to stderr.  Exit codes: 0 success, 1 solver, I/O or memory failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -64,6 +65,7 @@ def parse_beta_list(text: str) -> list[float]:
     return list(np.logspace(math.log10(a), math.log10(b), n))
 
 
+@functools.cache  # built at the first call, then shared: parsing leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bectension",

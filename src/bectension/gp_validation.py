@@ -3,7 +3,8 @@
 Pipeline: solve the single-component ground state eta at healing length eps
 (bordered Newton on the unit L2 sphere), minimize eps times the weighted
 pair energy under the two mass constraints (bordered Newton on the joint
-band of ``solver.PairEnergy``, one banded LU per step), and compare with
+band of ``solver.PairEnergy``, one banded LU per step; the frozen exterior
+of the cloud is left out of the system), and compare with
 the limit value sigma(beta) * rho(t0)^(3/2) at the interface location t0
 fixed by the limit constraint.  The gap must shrink as eps decreases.  The
 weighted pair energy is ``solver.PairEnergy`` with eta weights: the
@@ -145,11 +146,13 @@ def solve_ground_state(eps: float, grid: Grid1D | None = None, tol: float = 1e-9
 # weighted pair energy
 # ---------------------------------------------------------------------------
 
-def _weighted_energy(eta: GroundState, eps: float, beta: float, scale: float = 1.0) -> solver.PairEnergy:
-    """``scale`` times the weighted pair energy: eta weights on eta's grid."""
-    e = eta.values
+def _weighted_energy(eta: GroundState, eps: float, beta: float, scale: float = 1.0,
+                     window: slice = slice(None)) -> solver.PairEnergy:
+    """``scale`` times the weighted pair energy: eta weights on eta's grid,
+    or on its nodes ``window`` (the cells between them)."""
+    e = eta.values[window]
     e2 = e * e
-    w = eta.grid.trapezoid_weights()
+    w = eta.grid.trapezoid_weights()[window]
     cell = (0.5 * (e[:-1] + e[1:])) ** 2
     return solver.PairEnergy(beta, eta.grid.spacing, scale * cell, scale * e2,
                              scale / eps**2 * w * e2 * e2)
@@ -233,17 +236,17 @@ MAX_STEPS = 50  # bordered Newton steps of one constrained solve; 2-5 at alpha1 
 
 @dataclass(frozen=True)
 class _MassConstraints:
-    """c1 = sum m v^2 - 1 and c2 = sum m v^2 cos(phi) - target2, m = h w eta^2,
-    on the interleaved pair x = (v_0, phi_0, v_1, phi_1, ...): their values,
-    their gradients as the columns of an (x.size, 2) array, and lam1 hess(c1)
-    + lam2 hess(c2) added to a band in LAPACK lower storage."""
+    """c_k = sum m v^2 (1, cos(phi))_k - targets_k, m = h w eta^2, on the
+    interleaved pair x = (v_0, phi_0, v_1, phi_1, ...): their values, their
+    gradients as the columns of an (x.size, 2) array, and lam1 hess(c1) +
+    lam2 hess(c2) added to a band in LAPACK lower storage."""
 
     mass: np.ndarray
-    target2: float
+    targets: np.ndarray  # (t1, t2)
 
     def values(self, x) -> np.ndarray:
         mv2 = self.mass * x[0::2] ** 2
-        return np.array([np.sum(mv2) - 1.0, np.sum(mv2 * np.cos(x[1::2])) - self.target2])
+        return np.array([np.sum(mv2), np.sum(mv2 * np.cos(x[1::2]))]) - self.targets
 
     def gradients(self, x) -> np.ndarray:
         mv, phi = self.mass * x[0::2], x[1::2]
@@ -337,13 +340,15 @@ def minimize_weighted_pair(
     """Minimize eps * F under both mass constraints; report the limit gap.
 
     Bordered projected Newton (``_constrained_newton``) from the plateau pair
-    at t0; the constraints hold to ``KKT_TOL``.  The Lagrangian Hessian is
-    factored by LU, not Cholesky: it is indefinite.  Its negative direction
-    (eigenvalue -9.1e-5 at the minimizer for beta = 1, eps = 0.04), peaked
-    on phi at t0, translates the interface, which only the second mass
-    constraint holds at the density maximum; on the constraint tangent space
-    the Hessian is positive definite.  A spent budget, a stalled line search
-    or a singular system raises ConvergenceError carrying the row.
+    at t0; the constraints hold to ``KKT_TOL``.  Beyond |x| = lam + 0.35 the
+    fields keep the cold start, left out of the Newton system but for one
+    node each side; their mass moves into the targets.  The Lagrangian
+    Hessian is factored by LU, not Cholesky: it is indefinite.  Its negative
+    direction (eigenvalue -9.1e-5 at the minimizer for beta = 1, eps = 0.04),
+    peaked on phi at t0, translates the interface, which only the second
+    mass constraint holds at the density maximum; on the constraint tangent
+    space the Hessian is positive definite.  A spent budget, a stalled line
+    search or a singular system raises ConvergenceError carrying the row.
     """
     eps = _check_eps(eps)
     beta = analytic._check_beta(beta)
@@ -364,19 +369,23 @@ def minimize_weighted_pair(
     v, phi = analytic.plateau_profiles(m_bar, T, math.sqrt(rho0) * (x - t0) / eps)
     v = v / math.sqrt(float(np.sum(mass * v * v)))
 
-    # Outside the cloud plus a margin every energy weight has decayed below
-    # double precision; freezing the fields there keeps the Newton system regular.
-    frozen = np.abs(x) > TF_LAMBDA + 0.35
-    frozen[0] = frozen[-1] = True
+    # Outside the cloud plus a margin every energy weight is below double precision; the
+    # fields stay frozen there, out of the system but for one node each side, to keep it regular.
+    free = np.flatnonzero(np.abs(x) <= TF_LAMBDA + 0.35)
+    win = slice(free[0] - 1, free[-1] + 2)
+    fixed = np.r_[True, np.zeros(free.size, dtype=bool), True]
+    targets = np.array([1.0, 2.0 * alpha1 - 1.0])  # alpha1 + alpha2, alpha1 - alpha2
+    outside = np.r_[mass[:win.start], np.zeros(free.size + 2), mass[win.stop:]]
+    exterior = _MassConstraints(outside, (0.0, 0.0)).values(solver._interleave(v, phi))
 
-    constraints = _MassConstraints(mass, 2.0 * alpha1 - 1.0)  # alpha1 - alpha2
     pair, steps, pg, why = _constrained_newton(
-        _weighted_energy(eta, eps, beta, scale=eps).joint(), constraints,
-        solver._interleave(v, phi), solver._interleave(frozen, frozen))
-    v, phi = pair[0::2], pair[1::2]
+        _weighted_energy(eta, eps, beta, scale=eps, window=win).joint(),
+        _MassConstraints(mass[win], targets - exterior),
+        solver._interleave(v[win], phi[win]), solver._interleave(fixed, fixed))
+    v[win], phi[win] = pair[0::2], pair[1::2]
 
     scaled = eps * weighted_pair_energy(v, phi, eps, beta, eta).total
-    c1, c2 = constraints.values(pair)
+    c1, c2 = _MassConstraints(mass, targets).values(solver._interleave(v, phi))
     row = GammaRow(
         eps=eps,
         beta=beta,
@@ -406,13 +415,13 @@ def gamma_table(
 ) -> list[GammaRow]:
     """One independent constrained solve per eps, each from its own cold start.
 
-    ``eps_list`` must be nonempty and decreasing with every entry at most 0.1.
+    ``eps_list`` must be nonempty and decreasing with every entry in (0, 0.1].
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValueError("eps_list is empty")
-    if any(e > 0.1 for e in eps_list):
-        raise ValueError("eps values above 0.1 are outside the validated regime")
+    if not all(0.0 < e <= 0.1 for e in eps_list):
+        raise ValueError(f"every eps must be finite and lie in (0, 0.1], got {eps_list}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     interface_location(alpha1)  # rejects a bad alpha1 before the first solve

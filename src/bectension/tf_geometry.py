@@ -10,7 +10,8 @@ angular wedge) beat the radial minimum at alpha = 1/2 in dimensions 1, 2 and
 
 Every mass and wall integral is a closed form.  Two inverses still bisect:
 the ball radius carrying a given mass (a quintic in n = 3) and the chord
-angle in n = 2 (a transcendental equation).
+angle in n = 2 (a transcendental equation).  The ball mass, the radius, f
+and f'' act elementwise on arrays: the concavity check is one array bisection.
 """
 
 from __future__ import annotations
@@ -61,44 +62,48 @@ def tf_density(r: float, model: TFModel):
     return float(out) if out.ndim == 0 else out
 
 
-def ball_mass(R: float, model: TFModel) -> float:
-    """Mass of the centered ball of normalized radius R in [0, 1]; exact polynomial."""
-    R = float(R)
-    if not 0.0 <= R <= 1.0:
-        raise ValueError("normalized radius must lie in [0, 1]")
+def _floats(x):
+    """A float, or a float array for an array: scalars keep Python's float powers."""
+    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
+def _ball_mass(R, model: TFModel):
     n = model.dimension
     return sphere_area(n) * model.lam ** (n + 2) * (R**n / n - R ** (n + 2) / (n + 2))
 
 
-def radius_for_mass(alpha: float, model: TFModel) -> float:
+def ball_mass(R, model: TFModel):
+    """Mass of the centered ball of normalized radius R in [0, 1]; exact polynomial."""
+    if not np.all((0.0 <= R) & (R <= 1.0)):
+        raise ValueError("normalized radius must lie in [0, 1]")
+    return _ball_mass(_floats(R), model)
+
+
+def radius_for_mass(alpha, model: TFModel):
     """Normalized radius whose centered ball carries mass alpha (bisection)."""
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
+    alpha = _floats(alpha)
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
-    if alpha in (0.0, 1.0):
-        return alpha
-    return bisect(lambda R: ball_mass(R, model) < alpha, 0.0, 1.0)
+    R = bisect(lambda R: _ball_mass(R, model) < alpha, 0.0 * alpha, 0.0 * alpha + 1.0)
+    return _floats(np.where((alpha == 0.0) | (alpha == 1.0), alpha, R))
 
 
-def radial_energy(alpha: float, model: TFModel) -> float:
+def radial_energy(alpha, model: TFModel):
     """Limit interface energy of the centered ball with mass alpha.
 
     f(alpha) = (2 sqrt(2)/3) * area * lambda^(n+2) * R^(n-1) (1-R^2)^(3/2),
     with f(0) = f(1) = 0 (in n=1 the alpha -> 0 limit is positive; the value
     at alpha = 0 is still 0 since the empty set has no interface).
     """
-    alpha = float(alpha)
-    if alpha in (0.0, 1.0):
-        return 0.0
     n, lam = model.dimension, model.lam
-    R = radius_for_mass(alpha, model)
-    return SIGMA_INFINITY * sphere_area(n) * lam ** (n + 2) * R ** (n - 1) * (1.0 - R**2) ** 1.5
+    R = radius_for_mass(alpha, model)  # 0 or 1 exactly where alpha is
+    f = SIGMA_INFINITY * sphere_area(n) * lam ** (n + 2) * R ** (n - 1) * (1.0 - R**2) ** 1.5
+    return _floats(np.where((R == 0.0) | (R == 1.0), 0.0, f))
 
 
-def radial_energy_second_derivative(alpha: float, model: TFModel) -> float:
+def radial_energy_second_derivative(alpha, model: TFModel):
     """Closed-form f''(alpha); strictly negative on (0, 1)."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
+    if not np.all((0.0 < alpha) & (alpha < 1.0)):
         raise ValueError("the second derivative is defined on (0, 1)")
     n, lam = model.dimension, model.lam
     R = radius_for_mass(alpha, model)
@@ -122,12 +127,12 @@ def concavity_report(model: TFModel) -> ConcavityReport:
     """Strict concavity of the radial energy on 128 uniform interior alphas.
 
     Central second differences and the closed-form second derivative must both
-    be negative at every grid point.
+    be negative at every grid point; both are evaluated on the whole grid at once.
     """
     alphas = np.linspace(0.0, 1.0, 130)[1:-1]
-    f = np.array([radial_energy(a, model) for a in alphas])
+    f = radial_energy(alphas, model)
     d2 = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    closed = np.array([radial_energy_second_derivative(a, model) for a in alphas])
+    closed = radial_energy_second_derivative(alphas, model)
     max_d2 = float(d2.max())
     max_closed = float(closed.max())
     return ConcavityReport(max_d2, max_closed, max_d2 < 0.0 and max_closed < 0.0)

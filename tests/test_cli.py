@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bectension import analytic, cli, solver
+from bectension import analytic, cli, gp_validation, solver
 from bectension.grid import ProfilePair
 
 
@@ -104,6 +104,19 @@ class TestValidation:
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
         assert "Traceback" not in err
         assert "max_spacing" not in err  # errors name the flag the user typed
+
+    @pytest.mark.parametrize("eps_list", ["0.04,0.02,nan", "0.04,0.02,0", "0.04,-0.01"])
+    def test_bad_eps_is_refused_before_any_solve(self, capsys, monkeypatch, eps_list):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the eps list was checked")
+
+        monkeypatch.setattr(solver, "solve", no_solve)
+        monkeypatch.setattr(gp_validation, "solve_ground_state", no_solve)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gamma", "--beta", "1", "--eps-list", eps_list])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "(0, 0.1]" in errors[0]
 
     def test_grid_too_narrow_fails_sweep_row(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--betas", "1:2:2-log", "--half-width", "0.5")
@@ -313,6 +326,15 @@ class TestTf:
                        "radial_min,candidate,ratio,broken,derived_from_citation,concavity_pass\n"
                        + self.GOLDEN[dim] + "\n")
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_golden_json(self, capsys, dim):
+        code, out, _ = run_cli(capsys, "tf", "--dim", str(dim), "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)
+        golden = self.GOLDEN[dim].split(",")
+        assert [cli._fmt(v) for v in row.values()] == golden
+        assert out == json.dumps([row], indent=2) + "\n"
+
     def test_alpha_validation(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["tf", "--dim", "1", "--alpha", "1.5"])
@@ -336,6 +358,30 @@ class TestGamma:
         assert code == 0, err
         row = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
         assert float(row["mass_res_1"]) <= 1e-6 and float(row["mass_res_2"]) <= 1e-6
+
+
+class TestParser:
+    def test_shared_parser_leaks_nothing_between_calls(self, capsys, tmp_path):
+        target = tmp_path / "sigma.json"
+        argvs = [
+            ["sigma", "--beta", "1", "--format", "json", "--output", str(target), *FAST_GRID],
+            ["tf", "--dim", "2", "--alpha", "0.3"],
+            ["gamma", "--beta", "1", "--eps-list", "0.08"],
+            ["sigma", "--beta", "1"],
+        ]
+
+        def outputs(fresh):
+            target.unlink(missing_ok=True)
+            runs = []
+            for argv in argvs:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                runs.append(run_cli(capsys, *argv))
+            return runs, target.read_bytes()
+
+        shared = outputs(fresh=False)
+        assert shared == outputs(fresh=True)
+        assert shared[0][3][1].startswith("beta,")  # the last call is CSV on stdout
 
 
 class TestImport:

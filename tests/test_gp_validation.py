@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bectension import analytic, solver
+from bectension import analytic, solver, tf_geometry
 from bectension import gp_validation as gp
 from bectension.grid import Grid1D
 from tests import reference_blocks as ref
@@ -205,7 +205,7 @@ class TestWeightedPairDerivatives:
         rng = np.random.default_rng(29)
         for _ in range(3):
             v, phi = self.random_fields(eta, rng)
-            yield (energy, gp._MassConstraints(mass, rng.uniform(-0.5, 0.5)),
+            yield (energy, gp._MassConstraints(mass, (1.0, rng.uniform(-0.5, 0.5))),
                    solver._interleave(v, phi), rng.normal(size=2))
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
@@ -317,6 +317,55 @@ class TestBorderedNewton:
         x, steps, _, why = gp._constrained_newton(bump, constraints, x0, fixed)
         assert why == "the line search stalled" and steps == 1
         np.testing.assert_array_equal(x, x0)
+
+
+class TestWindow:
+    """The Newton system on the free window against the full-grid system with
+    the exterior pinned in it."""
+
+    @pytest.fixture(scope="class")
+    def etas(self):
+        return {eps: gp.solve_ground_state(eps) for eps in (0.04, 0.02)}
+
+    def full_grid_solve(self, eta, eps, beta, alpha1):
+        """(steps, gap) of the full-grid solve from the same cold start."""
+        x = eta.grid.nodes
+        t0 = gp.interface_location(alpha1)
+        mass = eta.grid.spacing * eta.grid.trapezoid_weights() * eta.values**2
+        m_bar, _ = analytic.minimize_plateau_objective(beta)
+        T = analytic.optimal_plateau_halfwidth(m_bar, beta)
+        rho0 = tf_geometry.tf_density(t0, gp.TF_MODEL)
+        v, phi = analytic.plateau_profiles(m_bar, T, math.sqrt(rho0) * (x - t0) / eps)
+        v = v / math.sqrt(float(np.sum(mass * v * v)))
+        frozen = np.abs(x) > gp.TF_LAMBDA + 0.35
+        frozen[[0, -1]] = True
+        pair, steps, _, why = gp._constrained_newton(
+            gp._weighted_energy(eta, eps, beta, scale=eps).joint(),
+            gp._MassConstraints(mass, (1.0, 2.0 * alpha1 - 1.0)),
+            solver._interleave(v, phi), solver._interleave(frozen, frozen))
+        assert why is None
+        scaled = eps * gp.weighted_pair_energy(pair[0::2], pair[1::2], eps, beta, eta).total
+        return steps, scaled - tf_geometry.local_surface_tension(t0, gp.TF_MODEL, 1.0)
+
+    @pytest.mark.parametrize("alpha1", [0.5, 0.7])
+    @pytest.mark.parametrize("beta", [1e-2, 1.0, 100.0, 1e4])
+    def test_window_solves_the_full_grid_system(self, etas, beta, alpha1):
+        for eps, eta in etas.items():
+            steps, gap = self.full_grid_solve(eta, eps, beta, alpha1)
+            row = gp.minimize_weighted_pair(eps, beta, alpha1=alpha1, sigma=1.0, eta=eta)
+            assert row.newton_steps == steps
+            assert abs(row.gap - gap) <= 1e-14
+            assert row.mass_res_1 <= gp.KKT_TOL and row.mass_res_2 <= gp.KKT_TOL
+
+    def test_only_the_window_is_factored(self, monkeypatch):
+        sizes = []
+        step = gp._bordered_step
+        monkeypatch.setattr(gp, "_bordered_step", lambda ab, *rest: sizes.append(ab.shape[1])
+                            or step(ab, *rest))
+        row = gp.minimize_weighted_pair(0.01, 1.0, sigma=1.0)
+        # 2 517 nodes with |x| <= lam + 0.35 and one frozen node each side,
+        # two rows per node, of 5 819 nodes on the grid
+        assert row.v.size == 5819 and sizes == [5038] * row.newton_steps
 
 
 class TestDecomposition:

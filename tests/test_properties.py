@@ -67,7 +67,7 @@ def test_constrained_pair_is_a_kkt_point(beta, alpha1):
     hi = np.tile([np.inf, np.pi], grid.n_points)
     mass = grid.spacing * grid.trapezoid_weights() * row.eta.values ** 2
     g = gp._weighted_energy(row.eta, 0.04, beta, scale=0.04).joint().gradient(x)
-    a = gp._MassConstraints(mass, 2.0 * alpha1 - 1.0).gradients(x)
+    a = gp._MassConstraints(mass, (1.0, 2.0 * alpha1 - 1.0)).gradients(x)
     g[fixed], a[fixed] = 0.0, 0.0
     inner = ~fixed & (x > 0.0) & (x < hi)
     lam = np.linalg.lstsq(a[inner], -g[inner], rcond=None)[0]

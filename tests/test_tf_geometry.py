@@ -135,6 +135,39 @@ class TestConcavity:
         assert rep.max_second_difference < 0.0
         assert rep.max_closed_form < 0.0
 
+    ALPHAS = np.linspace(0.0, 1.0, 130)[1:-1]  # the report's grid
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_array_radii_are_the_scalar_radii(self, n):
+        m = MODELS[n]
+        scalar = [tf.radius_for_mass(a, m) for a in self.ALPHAS]
+        assert tf.radius_for_mass(self.ALPHAS, m).tolist() == scalar
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_array_energies_match_the_scalar_calls(self, n):
+        m = MODELS[n]
+        for func in (tf.radial_energy, tf.radial_energy_second_derivative):
+            scalar = np.array([func(a, m) for a in self.ALPHAS])
+            np.testing.assert_allclose(func(self.ALPHAS, m), scalar, rtol=1e-15, atol=0.0)
+
+    def test_array_ends_and_domain(self):
+        m = MODELS[1]
+        ends = np.array([0.0, 1.0])
+        assert tf.radius_for_mass(ends, m).tolist() == [0.0, 1.0]
+        assert tf.radial_energy(ends, m).tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError):
+            tf.radius_for_mass(np.array([0.5, 1.5]), m)
+        with pytest.raises(ValueError):
+            tf.radial_energy_second_derivative(np.array([0.5, 1.0]), m)
+
+    def test_report_bisects_the_grid_at_once(self, monkeypatch):
+        calls = []
+        ball_mass = tf._ball_mass
+        monkeypatch.setattr(tf, "_ball_mass", lambda R, m: calls.append(R) or ball_mass(R, m))
+        assert tf.concavity_report(MODELS[3]).passed
+        # two array bisections (f and f''), 40 midpoints each, not 128 scalar ones
+        assert len(calls) == 80 and all(R.shape == self.ALPHAS.shape for R in calls)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_closed_form_negative_at_half(self, n):
         assert tf.radial_energy_second_derivative(0.5, MODELS[n]) < 0.0
