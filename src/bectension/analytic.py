@@ -187,18 +187,19 @@ class SigmaBracket:
     upper: float
 
 
-def sigma_bracket(beta: float) -> SigmaBracket:
+def sigma_bracket(beta: float, plateau: tuple[float, float] | None = None) -> SigmaBracket:
     """Closed-form bracket lower <= sigma(beta) <= upper <= 2*sqrt(2)/3.
 
     Lower: minimum over m of sqrt(2)(2/3 - m + m^3 (1/3 + sqrt(beta)/(2 sqrt(2)))),
     attained at the cubic's stationary point.  Upper: the T- and m-optimized
-    plateau test-pair energy.
+    plateau test-pair energy.  ``plateau`` is ``minimize_plateau_objective(beta)``
+    when the caller has it.
     """
     beta = _check_beta(beta)
     a = 1.0 / 3.0 + math.sqrt(beta) / (2.0 * SQRT2)
     m_c = 1.0 / math.sqrt(3.0 * a)  # always <= 1 since a >= 1/3
     lower = SQRT2 * (2.0 / 3.0 - m_c + a * m_c**3)
-    _, obj = minimize_plateau_objective(beta)
+    _, obj = plateau or minimize_plateau_objective(beta)
     upper = SQRT2 * (obj + 2.0 / 3.0)
     return SigmaBracket(lower=lower, upper=upper)
 

@@ -62,14 +62,13 @@ class SweepError(RuntimeError):
 
 def _solve_row(result: solver.SurfaceTensionResult) -> SweepRow:
     """The row of one finished solve: its diagnostics beside the analytic bracket."""
-    bracket = analytic.sigma_bracket(result.beta)
     return SweepRow(
         beta=result.beta,
         sigma=result.sigma,
         inf_v=result.inf_v,
         argmin_v=result.argmin_v,
-        lower=bracket.lower,
-        upper=bracket.upper,
+        lower=result.bracket.lower,
+        upper=result.bracket.upper,
         el_res_v=result.el_residual_v,
         el_res_phi=result.el_residual_phi,
         equip_l2=result.equipartition_l2,

@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from . import analytic, solver, tf_geometry
 from .grid import Grid1D
+from .solver import dgbsv
 
 TF_MODEL = tf_geometry.TFModel(1)
 TF_LAMBDA = TF_MODEL.lam
@@ -336,6 +336,7 @@ def minimize_weighted_pair(
     alpha1: float = 0.5,
     sigma: float | None = None,
     eta: GroundState | None = None,
+    plateau: tuple[float, float] | None = None,
 ) -> GammaRow:
     """Minimize eps * F under both mass constraints; report the limit gap.
 
@@ -349,14 +350,16 @@ def minimize_weighted_pair(
     mass constraint holds at the density maximum; on the constraint tangent
     space the Hessian is positive definite.  A spent budget, a stalled line
     search or a singular system raises ConvergenceError carrying the row.
+    ``plateau`` is ``analytic.minimize_plateau_objective(beta)`` when the caller has it.
     """
     eps = _check_eps(eps)
     beta = analytic._check_beta(beta)
     t0 = interface_location(alpha1)
     if eta is None:
         eta = solve_ground_state(eps)
+    plateau = plateau or analytic.minimize_plateau_objective(beta)
     if sigma is None:
-        sigma = solver.solve(beta).sigma
+        sigma = solver.solve(beta, plateau=plateau).sigma
     grid = eta.grid
     x = grid.nodes
     mass = grid.spacing * grid.trapezoid_weights() * eta.values**2
@@ -364,7 +367,7 @@ def minimize_weighted_pair(
     rho0 = tf_geometry.tf_density(t0, TF_MODEL)
     limit_energy = tf_geometry.local_surface_tension(t0, TF_MODEL, sigma)
 
-    m_bar, _ = analytic.minimize_plateau_objective(beta)
+    m_bar, _ = plateau
     T = analytic.optimal_plateau_halfwidth(m_bar, beta)
     v, phi = analytic.plateau_profiles(m_bar, T, math.sqrt(rho0) * (x - t0) / eps)
     v = v / math.sqrt(float(np.sum(mass * v * v)))
@@ -425,9 +428,11 @@ def gamma_table(
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     interface_location(alpha1)  # rejects a bad alpha1 before the first solve
+    plateau = analytic.minimize_plateau_objective(beta)  # the start of every solve
     if sigma is None:
-        sigma = solver.solve(beta).sigma
-    return [minimize_weighted_pair(eps, beta, alpha1=alpha1, sigma=sigma) for eps in eps_list]
+        sigma = solver.solve(beta, plateau=plateau).sigma
+    return [minimize_weighted_pair(eps, beta, alpha1=alpha1, sigma=sigma, plateau=plateau)
+            for eps in eps_list]
 
 
 def gamma_csv_rows(rows) -> list[dict]:

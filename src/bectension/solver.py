@@ -43,15 +43,49 @@ the same gradients interleaved.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv, dptsv
 
 from . import analytic
 from .grid import Grid1D, ProfilePair, require_positive
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, without running the ``scipy.linalg``
+    package: with scipy 1.17 its ``__init__`` costs about 0.25 s and 25 MB
+    per process (``scipy._lib._array_api`` imports numpy.f2py, numpy.testing
+    and unittest), the extension itself a few ms.  Registered under its own name,
+    so a later ``import scipy.linalg`` shares the same routine objects.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        base = os.path.join(os.path.dirname(scipy.origin), "linalg", "_flapack")
+        path = next((base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)), None)
+        if path is None:
+            raise ImportError(f"scipy's LAPACK extension not found: searched {base} with the "
+                              f"suffixes {EXTENSION_SUFFIXES}", name=_FLAPACK, path=base)
+        loader = ExtensionFileLoader(_FLAPACK, path)
+        module = loader.create_module(importlib.util.spec_from_loader(_FLAPACK, loader))
+        loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module
+
+
+_flapack = _load_flapack()
+# The band solvers of every Newton step; gp_validation binds dgbsv from here.
+dptsv, dpbsv, dgbsv = _flapack.dptsv, _flapack.dpbsv, _flapack.dgbsv
 
 
 @dataclass(frozen=True)
@@ -89,6 +123,7 @@ class SurfaceTensionResult:
     equipartition_l2: float
     iterations: int                        # Newton steps of both phases
     joint_steps: int                       # of which joint (v, phi) steps
+    bracket: analytic.SigmaBracket         # holds sigma when solve returns
     grid: Grid1D
     pair: ProfilePair = field(repr=False)
 
@@ -663,9 +698,13 @@ def diagnostics(pair: ProfilePair) -> PairDiagnostics:
 # top-level solve
 # ---------------------------------------------------------------------------
 
-def initial_pair(beta: float, grid: Grid1D) -> ProfilePair:
-    """The optimal plateau test pair, the starting point of every solve."""
-    m_bar, _ = analytic.minimize_plateau_objective(beta)
+def initial_pair(beta: float, grid: Grid1D,
+                 plateau: tuple[float, float] | None = None) -> ProfilePair:
+    """The optimal plateau test pair, the starting point of every solve.
+
+    ``plateau`` is ``analytic.minimize_plateau_objective(beta)`` when the caller has it.
+    """
+    m_bar, _ = plateau or analytic.minimize_plateau_objective(beta)
     T = analytic.optimal_plateau_halfwidth(m_bar, beta)
     return analytic.test_pair_fields(m_bar, T, grid)
 
@@ -687,7 +726,8 @@ def half_line_problem(beta: float, grid: Grid1D):
     return PairEnergy(beta, grid.spacing, np.ones(n - 1), np.ones(n), pot), fixed_v, fixed_phi
 
 
-def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResult:
+def solve(beta: float, config: SolverConfig | None = None,
+          plateau: tuple[float, float] | None = None) -> SurfaceTensionResult:
     """Minimize the transition energy at fixed beta and report diagnostics.
 
     Solves on the half line and reflects the result onto the full grid: one
@@ -695,6 +735,8 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
     Both phases share the budget ``MAX_HALF_STEPS``; a spent budget or a
     stall raises ConvergenceError naming the phase.
     A sigma outside ``analytic.sigma_bracket`` (grid too narrow or too coarse) raises ValueError.
+    ``plateau`` is ``analytic.minimize_plateau_objective(beta)`` when the caller has it; the
+    start and the bracket share it.
     """
     beta = analytic._check_beta(beta)
     config = config or SolverConfig()
@@ -706,7 +748,8 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
             grid.spacing if config.spacing is None else config.spacing,
         )
 
-    start = initial_pair(beta, grid)
+    plateau = plateau or analytic.minimize_plateau_objective(beta)
+    start = initial_pair(beta, grid, plateau)
     mid = grid.n_points // 2
     v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
     phi[0] = 0.5 * np.pi
@@ -722,6 +765,7 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
     pair = ProfilePair(grid, np.concatenate([v[:0:-1], v]),
                        np.concatenate([np.pi - phi[:0:-1], phi]))
     res_v, res_phi = el_residual(pair, beta)
+    bracket = analytic.sigma_bracket(beta, plateau)
     result = SurfaceTensionResult(
         beta=beta,
         sigma=float(discrete_energy(pair, beta).total),
@@ -732,6 +776,7 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
         equipartition_l2=equipartition_residual(pair, beta),
         iterations=steps,
         joint_steps=joint_steps,
+        bracket=bracket,
         grid=grid,
         pair=pair,
     )
@@ -746,7 +791,6 @@ def solve(beta: float, config: SolverConfig | None = None) -> SurfaceTensionResu
             f"{block_steps} block + {joint_steps} joint Newton steps: {why}",
             result,
         )
-    bracket = analytic.sigma_bracket(beta)
     if not bracket.lower <= result.sigma <= bracket.upper:
         raise ValueError(
             f"sigma {result.sigma:.6g} outside the analytic bracket [{bracket.lower:.6g}, "

@@ -95,8 +95,12 @@ def radial_energy(alpha, model: TFModel):
     with f(0) = f(1) = 0 (in n=1 the alpha -> 0 limit is positive; the value
     at alpha = 0 is still 0 since the empty set has no interface).
     """
+    return _energy_at_radius(radius_for_mass(alpha, model), model)
+
+
+def _energy_at_radius(R, model: TFModel):
+    """f at the normalized radius R; R = 0 and R = 1 (alpha = 0 and 1 exactly) give 0."""
     n, lam = model.dimension, model.lam
-    R = radius_for_mass(alpha, model)  # 0 or 1 exactly where alpha is
     f = SIGMA_INFINITY * sphere_area(n) * lam ** (n + 2) * R ** (n - 1) * (1.0 - R**2) ** 1.5
     return _floats(np.where((R == 0.0) | (R == 1.0), 0.0, f))
 
@@ -105,8 +109,12 @@ def radial_energy_second_derivative(alpha, model: TFModel):
     """Closed-form f''(alpha); strictly negative on (0, 1)."""
     if not np.all((0.0 < alpha) & (alpha < 1.0)):
         raise ValueError("the second derivative is defined on (0, 1)")
+    return _second_derivative_at_radius(radius_for_mass(alpha, model), model)
+
+
+def _second_derivative_at_radius(R, model: TFModel):
+    """f'' at the normalized radius R in (0, 1)."""
     n, lam = model.dimension, model.lam
-    R = radius_for_mass(alpha, model)
     s = sphere_area(n) * lam ** (n + 2)
     return (
         -SIGMA_INFINITY / s
@@ -127,12 +135,13 @@ def concavity_report(model: TFModel) -> ConcavityReport:
     """Strict concavity of the radial energy on 128 uniform interior alphas.
 
     Central second differences and the closed-form second derivative must both
-    be negative at every grid point; both are evaluated on the whole grid at once.
+    be negative at every grid point; both are evaluated on the whole grid at
+    once, from one bisection of its radii.
     """
-    alphas = np.linspace(0.0, 1.0, 130)[1:-1]
-    f = radial_energy(alphas, model)
+    R = radius_for_mass(np.linspace(0.0, 1.0, 130)[1:-1], model)
+    f = _energy_at_radius(R, model)
     d2 = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    closed = radial_energy_second_derivative(alphas, model)
+    closed = _second_derivative_at_radius(R, model)
     max_d2 = float(d2.max())
     max_closed = float(closed.max())
     return ConcavityReport(max_d2, max_closed, max_d2 < 0.0 and max_closed < 0.0)

@@ -51,12 +51,15 @@ class TestLoglogSlope:
 
 
 class TestBetaSweep:
-    def test_single_beta_delegates(self, beta1_result):
+    def test_single_beta_delegates(self, plateau_calls, beta1_result):
         table = asymptotics.beta_sweep([1.0])
         assert len(table) == 1
         row = table.rows[0]
         assert row.sigma == pytest.approx(beta1_result.sigma, abs=1e-12)
         assert row.lower <= row.sigma <= row.upper
+        # the start, the solve's bracket check and the row share one plateau search
+        assert plateau_calls == [1.0]
+        assert (row.lower, row.upper) == dataclasses.astuple(analytic.sigma_bracket(1.0))
 
     def test_sigma_nondecreasing_and_bracketed(self):
         table = asymptotics.beta_sweep([0.1, 1.0, 10.0])

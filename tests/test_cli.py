@@ -1,4 +1,6 @@
 import contextlib
+import importlib.machinery
+import importlib.util
 import io
 import json
 import math
@@ -385,11 +387,48 @@ class TestParser:
 
 
 class TestImport:
-    def test_cli_import_leaves_out_scipy_integrate(self):
-        # a fresh interpreter, since the test modules themselves import scipy.integrate
+    @staticmethod
+    def fresh(code):
+        """What ``code`` prints in a fresh interpreter importing these sources: the
+        test modules themselves import scipy.integrate and scipy.linalg."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = (f"import sys; sys.path.insert(0, {src!r}); import bectension.cli; "
-                "print('scipy.integrate' in sys.modules)")
+        code = f"import sys; sys.path.insert(0, {src!r}); {code}"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        code = "import bectension.cli; print('scipy.integrate' in sys.modules)"
+        assert self.fresh(code) == "False"
+
+    def test_cli_import_leaves_out_scipy_linalg_and_numpy_f2py(self):
+        code = ("import bectension.cli; "
+                "print([m for m in ('scipy.linalg', 'numpy.f2py') if m in sys.modules])")
+        assert self.fresh(code) == "[]"
+
+    @pytest.mark.parametrize("first", ["bectension", "scipy.linalg"])
+    def test_band_solvers_are_scipys_in_either_import_order(self, first):
+        imports = ["from bectension import gp_validation, solver",
+                   "from scipy.linalg import lapack"]
+        if first == "scipy.linalg":
+            imports.reverse()
+        same = ("print(solver.dptsv is lapack.dptsv, solver.dpbsv is lapack.dpbsv, "
+                "gp_validation.dgbsv is lapack.dgbsv)")
+        code = "; ".join(imports + [same])
+        assert self.fresh(code) == "True True True"
+
+    def test_missing_lapack_extension_names_the_searched_path(self, monkeypatch, tmp_path):
+        scipy = importlib.machinery.ModuleSpec("scipy", None,
+                                               origin=str(tmp_path / "__init__.py"))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        searched = os.path.join(str(tmp_path), "linalg", "_flapack")
+        with pytest.raises(ImportError, match=re.escape(searched)) as err:
+            solver._load_flapack()
+        assert err.value.path == searched
+
+    def test_missing_scipy_raises_module_not_found(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        with pytest.raises(ModuleNotFoundError, match="scipy"):
+            solver._load_flapack()

@@ -467,6 +467,11 @@ class TestConstrainedMinimization:
             assert row.mass_res_1 == alone.mass_res_1
             assert row.mass_res_2 == alone.mass_res_2
 
+    def test_gamma_table_finds_the_plateau_once(self, plateau_calls):
+        # the sigma solve and every row start from the same plateau pair
+        rows = gp.gamma_table([0.08, 0.04], 1.0)
+        assert plateau_calls == [1.0] and len(rows) == 2
+
     def test_minimum_below_recovery_competitor(self):
         # limsup direction at desk scale: the constrained minimum cannot
         # exceed the mass-normalized rescaled-profile competitor

@@ -165,8 +165,8 @@ class TestConcavity:
         ball_mass = tf._ball_mass
         monkeypatch.setattr(tf, "_ball_mass", lambda R, m: calls.append(R) or ball_mass(R, m))
         assert tf.concavity_report(MODELS[3]).passed
-        # two array bisections (f and f''), 40 midpoints each, not 128 scalar ones
-        assert len(calls) == 80 and all(R.shape == self.ALPHAS.shape for R in calls)
+        # one array bisection shared by f and f'', 40 midpoints, not 128 scalar ones
+        assert len(calls) == 40 and all(R.shape == self.ALPHAS.shape for R in calls)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_closed_form_negative_at_half(self, n):
