@@ -54,7 +54,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 import numpy as np
 
 from . import analytic
-from .grid import Grid1D, ProfilePair, require_positive
+from .grid import Grid1D, ProfilePair, odd_node_count, require_positive
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -63,8 +63,10 @@ def _load_flapack():
     """scipy's compiled LAPACK wrappers, without running the ``scipy.linalg``
     package: with scipy 1.17 its ``__init__`` costs about 0.25 s and 25 MB
     per process (``scipy._lib._array_api`` imports numpy.f2py, numpy.testing
-    and unittest), the extension itself a few ms.  Registered under its own name,
-    so a later ``import scipy.linalg`` shares the same routine objects.
+    and unittest), the extension itself a few ms.  It is left out of
+    ``sys.modules``, so a later ``import scipy.linalg`` imports it as an
+    attribute of its package; CPython keeps one copy of a single-phase
+    extension, so that import hands out the same routine objects.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
@@ -79,7 +81,9 @@ def _load_flapack():
         loader = ExtensionFileLoader(_FLAPACK, path)
         module = loader.create_module(importlib.util.spec_from_loader(_FLAPACK, loader))
         loader.exec_module(module)
-        sys.modules[_FLAPACK] = module
+        # create_module registered it; drop that entry, so the first import of
+        # scipy.linalg imports it again as an attribute of its package
+        sys.modules.pop(_FLAPACK, None)
     return module
 
 
@@ -141,15 +145,20 @@ class ConvergenceError(RuntimeError):
         self.result = result
 
 
-def default_grid(beta: float) -> Grid1D:
-    """Grid policy: L = max(20, 10/sqrt(min(beta,1))), h resolving the dip.
+def default_grid_size(beta: float) -> tuple[float, int]:
+    """Grid policy, as (L, n_points): L = max(20, 10/sqrt(min(beta,1))), h resolving the dip.
 
     The angle transition widens like 1/sqrt(beta) as beta -> 0; the
     amplitude dip narrows like beta^(-1/4) as beta -> infinity.
     """
     half_width = max(20.0, 10.0 / math.sqrt(min(beta, 1.0)))
     spacing = 0.01 if beta <= 1.0 else min(0.01, beta ** -0.25 / 20.0)
-    return Grid1D.from_spacing(half_width, spacing)
+    return half_width, odd_node_count(half_width, spacing)
+
+
+def default_grid(beta: float) -> Grid1D:
+    """The grid of ``default_grid_size(beta)``."""
+    return Grid1D(*default_grid_size(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -741,12 +750,13 @@ def solve(beta: float, config: SolverConfig | None = None,
     beta = analytic._check_beta(beta)
     config = config or SolverConfig()
 
-    grid = default_grid(beta)
+    half_width, n_points = default_grid_size(beta)
     if config.half_width is not None or config.spacing is not None:
-        grid = Grid1D.from_spacing(
-            grid.half_width if config.half_width is None else config.half_width,
-            grid.spacing if config.spacing is None else config.spacing,
-        )
+        # sized without building the default grid, which may not fit in memory
+        spacing = 2.0 * half_width / (n_points - 1)  # the default grid's Grid1D.spacing
+        half_width = half_width if config.half_width is None else config.half_width
+        n_points = odd_node_count(half_width, spacing if config.spacing is None else config.spacing)
+    grid = Grid1D(half_width, n_points)
 
     plateau = plateau or analytic.minimize_plateau_objective(beta)
     start = initial_pair(beta, grid, plateau)

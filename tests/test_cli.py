@@ -139,6 +139,53 @@ class TestValidation:
         assert out == ""
         assert err.splitlines() == ["memory failure: Unable to allocate 298. GiB for an array"]
 
+    @pytest.fixture
+    def small_linspace(self, monkeypatch):
+        """``np.linspace`` for grids of under a million nodes only."""
+        linspace = np.linspace
+
+        def small(start, stop, num, **kwargs):
+            assert num < 10**6, "a grid beyond memory was allocated"
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", small)
+
+    @pytest.mark.parametrize("argv", [
+        ["sigma", "--beta", "1e-30"],  # a half-width of 1e16
+        ["sigma", "--beta", "1", "--spacing", "1e-9"],  # 4e10 nodes, 320 GB a node array
+        ["sigma", "--beta", "1", "--spacing", "5e-324"],  # more cells than a double counts
+        ["profile", "--beta", "1e-30", "--dump", "never-written.txt"],
+    ])
+    def test_grid_beyond_memory_is_refused_before_allocation(self, capsys, monkeypatch,
+                                                             tmp_path, argv):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("allocated before the node count was checked")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("memory failure: a grid of ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_grid_beyond_memory_yields_to_a_half_width_override(self, capsys,
+                                                                        small_linspace):
+        with pytest.raises(SystemExit) as exc:  # solved on 4 001 nodes, then out of bracket
+            cli.main(["sigma", "--beta", "1e-30", "--half-width", "20"])
+        assert exc.value.code == 2
+        assert "outside the analytic bracket" in capsys.readouterr().err
+
+    def test_sweep_reports_a_grid_beyond_memory_as_its_row_failure(self, capsys,
+                                                                   small_linspace):
+        code, out, err = run_cli(capsys, "sweep", "--betas", "1e-30:1:2-log")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("sweep failure: sweep failed for 1 beta value(s): beta=1e-30: "
+                              "a grid of ")
+        assert "bytes of physical memory" in err and len(err.splitlines()) == 1
+
     def test_unwritable_output(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--beta", "1",
                                "--output", "/nonexistent-dir/x.csv")
@@ -417,11 +464,16 @@ class TestImport:
         code = "; ".join(imports + [same])
         assert self.fresh(code) == "True True True"
 
+    def test_lapack_extension_is_an_attribute_of_scipy_linalg(self):
+        code = ("import bectension.solver; import scipy.linalg; "
+                "print(scipy.linalg._flapack.dpbsv is bectension.solver.dpbsv)")
+        assert self.fresh(code) == "True"
+
     def test_missing_lapack_extension_names_the_searched_path(self, monkeypatch, tmp_path):
         scipy = importlib.machinery.ModuleSpec("scipy", None,
                                                origin=str(tmp_path / "__init__.py"))
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
-        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
         searched = os.path.join(str(tmp_path), "linalg", "_flapack")
         with pytest.raises(ImportError, match=re.escape(searched)) as err:
             solver._load_flapack()
@@ -429,6 +481,6 @@ class TestImport:
 
     def test_missing_scipy_raises_module_not_found(self, monkeypatch):
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
-        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
         with pytest.raises(ModuleNotFoundError, match="scipy"):
             solver._load_flapack()

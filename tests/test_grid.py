@@ -1,20 +1,24 @@
-import os
-
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import bectension.grid
 from bectension.grid import Grid1D, ProfilePair, dump_profile
 
 
 def row_at_a_time_dump(pair, path):
-    """Reference writer: one row per write, each value through format(x, ".17g")."""
-    with open(path, "w") as fh:
-        fh.write("# t v phi\n")
+    """Reference writer: one row per write, each value through its own orjson.dumps."""
+    with open(path, "wb") as fh:
+        fh.write(b"# t v phi\n")
         for row in zip(pair.grid.nodes, pair.v, pair.phi):
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(b" ".join(orjson.dumps(float(x)) for x in row) + b"\n")
+
+
+def significant_digits(text):
+    """Digits of the mantissa of a decimal float text, leading and trailing zeros dropped."""
+    mantissa = text.lower().lstrip("-").split("e")[0].replace(".", "")
+    return len(mantissa.strip("0")) or 1
 
 
 # Values whose shortest round-trip text differs from their %.17g text, and
@@ -34,6 +38,17 @@ def planted_pair(n_points):
     return ProfilePair(grid, v, phi)
 
 
+class TestGridMemory:
+    def test_grid_beyond_physical_memory_is_refused_before_allocation(self, monkeypatch):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("allocated before the node count was checked")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        n_points = 2 * 10**15 + 1  # 16 PB per node array
+        with pytest.raises(MemoryError, match=f"{n_points} nodes needs {8 * n_points} bytes"):
+            Grid1D(1.0, n_points)
+
+
 class TestDumpProfile:
     # 8 195 nodes: two full 4 096-row blocks and a partial third of 3 rows
     @pytest.mark.parametrize("columns", ["t v phi"], ids=["t-v-phi"])
@@ -43,8 +58,16 @@ class TestDumpProfile:
         row_at_a_time_dump(pair, tmp_path / "rows.txt")
         blocked = (tmp_path / "blocked.txt").read_bytes()
         assert blocked == (tmp_path / "rows.txt").read_bytes()
-        assert blocked.count(b"\n") == 8196
-        assert blocked.startswith(f"# {columns}\n".encode())
+        lines = blocked.decode().split("\n")
+        assert lines[0] == f"# {columns}" and lines[-1] == ""
+        assert len(lines) == 8195 + 2
+        for line, row in zip(lines[1:-1], zip(pair.grid.nodes, pair.v, pair.phi), strict=True):
+            tokens = line.split(" ")
+            assert len(tokens) == 3
+            for token, value in zip(tokens, row):
+                # the same bits back, from no more digits than repr, the shortest
+                assert np.float64(token).view(np.int64) == np.float64(value).view(np.int64)
+                assert significant_digits(token) == significant_digits(repr(float(value)))
 
     def test_planted_values_read_back_bit_exactly(self, tmp_path):
         pair = planted_pair(8195)
@@ -53,112 +76,29 @@ class TestDumpProfile:
         for got, want in [(t, pair.grid.nodes), (v, pair.v), (phi, pair.phi)]:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-
-def allow_cpus(monkeypatch, n):
-    """Make ``dump_profile`` see ``n`` CPUs, so it cuts the table into up to ``n`` parts."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children forked during the test, as the parent saw them."""
-    pids, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["v", "phi"])
+    @pytest.mark.parametrize("row", [0, 4095, 4096, 8194])  # block edges and the last row
+    def test_non_finite_value_is_refused_before_the_file_opens(self, tmp_path, value,
+                                                                column, row):
+        pair = planted_pair(8195)
+        getattr(pair, column)[row] = value
+        with pytest.raises(ValueError, match="finite"):
+            dump_profile(pair, tmp_path / "dump.txt")
+        assert list(tmp_path.iterdir()) == []
 
 
-def assert_nothing_left(directory, target):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert [p.name for p in directory.iterdir()] == [target]
-
-
-class TestDumpInParts:
-    @pytest.mark.parametrize("n_points, cpus, parts", [
-        (3, 2, 1),         # fewer rows than one block
-        (5, 8, 1),         # fewer rows than CPUs
-        (12_289, 8, 3),    # fewer blocks than CPUs: one part per whole block
-        (9_001, 2, 2),     # the cut, at row 4 500, falls inside the second block
-        (8_195, 3, 2),     # two full blocks and 3 rows
-    ])
-    def test_bytes_match_row_at_a_time_writer(self, tmp_path, monkeypatch, forks, n_points,
-                                              cpus, parts):
-        allow_cpus(monkeypatch, cpus)
-        out = tmp_path / "out"
-        out.mkdir()
-        pair = planted_pair(n_points)
-        dump_profile(pair, out / "dump.txt")
-        row_at_a_time_dump(pair, tmp_path / "rows.txt")
-        assert len(forks) == parts - 1
-        assert (out / "dump.txt").read_bytes() == (tmp_path / "rows.txt").read_bytes()
-        assert_nothing_left(out, "dump.txt")
-
-    def test_relative_path(self, tmp_path, monkeypatch, forks):
-        allow_cpus(monkeypatch, 2)
-        monkeypatch.chdir(tmp_path)
-        pair = planted_pair(8_195)
-        dump_profile(pair, "dump.txt")
-        row_at_a_time_dump(pair, tmp_path / "rows.txt")
-        assert len(forks) == 1
-        assert (tmp_path / "dump.txt").read_bytes() == (tmp_path / "rows.txt").read_bytes()
-
-    def test_failed_child_raises_oserror(self, tmp_path, monkeypatch, forks):
-        allow_cpus(monkeypatch, 2)
-        parent, write_rows = os.getpid(), bectension.grid._write_rows
-
-        def fail_in_child(fh, table):
-            if os.getpid() != parent:
-                raise RuntimeError("formatting failed")
-            write_rows(fh, table)
-
-        monkeypatch.setattr(bectension.grid, "_write_rows", fail_in_child)
-        with pytest.raises(OSError, match="worker process"):
-            dump_profile(planted_pair(8_195), tmp_path / "dump.txt")
-        assert len(forks) == 1
-        assert_nothing_left(tmp_path, "dump.txt")
-
-    def test_failed_parent_stops_its_children(self, tmp_path, monkeypatch, forks):
-        allow_cpus(monkeypatch, 3)
-        parent, write_rows = os.getpid(), bectension.grid._write_rows
-
-        def fail_in_parent(fh, table):
-            if os.getpid() == parent:
-                raise RuntimeError("formatting failed")
-            write_rows(fh, table)
-
-        monkeypatch.setattr(bectension.grid, "_write_rows", fail_in_parent)
-        with pytest.raises(RuntimeError, match="formatting failed"):
-            dump_profile(planted_pair(12_289), tmp_path / "dump.txt")
-        assert len(forks) == 2
-        assert_nothing_left(tmp_path, "dump.txt")
-
-    def test_missing_directory_forks_nothing(self, tmp_path, monkeypatch, forks):
-        allow_cpus(monkeypatch, 2)
-        with pytest.raises(FileNotFoundError):
-            dump_profile(planted_pair(8_195), tmp_path / "missing" / "dump.txt")
-        assert forks == []
-
-
-# Every value is tiled over 8 193 rows, so each one lands in both parts.
+# Every value is tiled over 8 193 rows, so each one lands in all three blocks.
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
                        max_size=16))
 @example(values=[-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308])
-def test_finite_doubles_read_back_bit_exactly_from_two_parts(tmp_path_factory, values):
+def test_finite_doubles_read_back_bit_exactly_across_blocks(tmp_path_factory, values):
     values = np.array(values)
     pair = ProfilePair(Grid1D(7.3, 8_193), np.resize(values, 8_193),
                        np.resize(values[::-1], 8_193))
     path = tmp_path_factory.mktemp("dump") / "dump.txt"
-    with pytest.MonkeyPatch.context() as mp:
-        allow_cpus(mp, 2)
-        dump_profile(pair, path)
+    dump_profile(pair, path)
     t, v, phi = np.loadtxt(path, unpack=True)
     for got, want in [(t, pair.grid.nodes), (v, pair.v), (phi, pair.phi)]:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
