@@ -45,8 +45,10 @@ class Grid1D:
         node_bytes = 8 * self.n_points  # one float64 array over the nodes
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if node_bytes > memory:
-            raise MemoryError(f"a grid of {self.n_points} nodes needs {node_bytes} bytes per "
-                              f"node array, more than the {memory} bytes of physical memory")
+            from decimal import Decimal  # formats an int of any size; needed only here
+            n, size, total = (f"{Decimal(x):.1e}" for x in (self.n_points, node_bytes, memory))
+            raise MemoryError(f"a grid of {n} nodes needs {size} bytes per node array, "
+                              f"more than the {total} bytes of physical memory")
         object.__setattr__(
             self, "nodes",
             np.linspace(-self.half_width, self.half_width, self.n_points),

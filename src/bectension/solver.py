@@ -13,8 +13,8 @@ exact for the discrete functional.
 The minimizer starts from the optimal plateau test pair and runs two phases
 of damped projected Newton, both driven by ``projected_newton``:
 
-* one round of the two convex blocks (``alternating_newton``): phi at fixed
-  v, then v at fixed phi, each strictly convex after the classical
+* one round of the two convex blocks (``block_round``): phi at fixed v,
+  then v at fixed phi, each strictly convex after the classical
   substitutions sin(phi) and v^2, each step one tridiagonal Cholesky;
 * Newton on the interleaved pair (v_0, phi_0, v_1, phi_1, ...)
   (``joint_newton``), whose Hessian is a band of half-width 3, one banded
@@ -30,9 +30,11 @@ energy never increases.
 The minimizer is even in v and odd about its crossing, phi(-t) = pi - phi(t),
 so ``solve`` minimizes on the half line [0, L] (``half_line_problem``) and
 reflects the result.  The half-line gradient at node 0 is half the full-line
-one, so the stop norm counts node 0 twice.
+one, so the stop norm counts node 0 twice.  ``alternating_refine``, the
+reference path, runs joint Newton alone on the full line with the crossing
+pinned, so it tests that symmetry instead of imposing it.
 
-Each half-step works on a block objective, ``PairEnergy.phi_block(v)`` or
+Each block step works on a block objective, ``PairEnergy.phi_block(v)`` or
 ``v_block(phi)``, which computes every factor of the frozen field once.  Only
 a subexpression evaluated first in the two-field formula is hoisted (a whole
 term, a left-associative prefix, an argument of sin or cos), so a block's
@@ -335,11 +337,11 @@ def _projected(x, g, lo, hi):
     return np.where(x <= lo, np.minimum(g, 0.0), np.where(x >= hi, np.maximum(g, 0.0), g))
 
 
-def _projected_gradient_norm(v, phi, gv, gphi, mirror: bool = False) -> float:
+def _projected_gradient_norm(v, phi, gv, gphi) -> float:
+    """Max-norm of the projected gradient of a half-line pair; node 0 counts twice."""
     pv, pphi = _projected(v, gv, 0.0, 1.0), _projected(phi, gphi, 0.0, np.pi)
-    if mirror:  # node 0 of a half line: the full-line gradient there is twice as large
-        pv[0] *= 2.0
-        pphi[0] *= 2.0
+    pv[0] *= 2.0
+    pphi[0] *= 2.0
     return max(np.abs(pv).max(), np.abs(pphi).max())
 
 
@@ -506,52 +508,34 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
 
 
 # ---------------------------------------------------------------------------
-# alternating convex refinement
+# the two Newton drivers: one block round, joint Newton
 # ---------------------------------------------------------------------------
 
-BLOCK_STEPS = 40          # Newton steps per block and round
+BLOCK_STEPS = 40          # Newton steps per block
 MAX_HALF_STEPS = 200_000  # budget of Newton steps (block and joint) of one unit solve
 
 
-def alternating_newton(problem, v, phi, fixed_v, fixed_phi, tol, mirror=False, max_rounds=math.inf):
-    """Alternate projected Newton on phi at fixed v and on v at fixed phi.
-
-    ``problem`` supplies the blocks ``phi_block(v)`` and ``v_block(phi)``,
-    the objectives ``projected_newton`` takes.  The boxes are [0, 1] and
-    [0, pi]; rows in ``fixed_v`` and ``fixed_phi`` never move.  Each block
-    takes at most BLOCK_STEPS steps towards a quarter of ``tol`` and starts
-    from the energy the previous block stopped at.  The rounds stop when the
-    max-norm of the projected gradient reaches ``tol``, when MAX_HALF_STEPS
-    half-steps are spent or after ``max_rounds`` rounds; ``mirror`` counts
-    node 0 twice in that norm.
-    Returns (v, phi, half_steps, final projected-gradient norm).
+def block_round(problem, v, phi, fixed_v, fixed_phi, tol):
+    """One round of the two convex blocks: projected Newton on phi at fixed v,
+    then on v at fixed phi (``problem.phi_block``, ``v_block``), in the boxes
+    [0, pi] and [0, 1]; rows in ``fixed_phi`` and ``fixed_v`` never move.
+    Each block takes at most BLOCK_STEPS steps, both at most MAX_HALF_STEPS,
+    towards a quarter of ``tol``; the v block starts from the energy the phi
+    block stopped at.  Returns what ``joint_newton`` returns.
     """
     block_tol = 0.25 * tol
-    steps = 0
-    value = gphi = None
     phi_block = problem.phi_block(v)
-    rounds = 0
-    while steps < MAX_HALF_STEPS and rounds < max_rounds:
-        rounds += 1
-        phi, s_phi, value, _ = projected_newton(
-            phi, 0.0, np.pi, fixed_phi, phi_block, block_tol,
-            min(BLOCK_STEPS, MAX_HALF_STEPS - steps), value, gphi)
-        steps += s_phi
-        del phi_block  # one block's arrays alive at a time
-        v_block = problem.v_block(phi)
-        v, s_v, value, gv = projected_newton(
-            v, 0.0, 1.0, fixed_v, v_block, block_tol,
-            min(BLOCK_STEPS, MAX_HALF_STEPS - steps), value)
-        steps += s_v
-        if gv is None:
-            gv = np.where(fixed_v, 0.0, v_block.gradient(v))
-        del v_block
-        phi_block = problem.phi_block(v)  # also the next round's phi block
-        gphi = np.where(fixed_phi, 0.0, phi_block.gradient(phi))
-        pg = _projected_gradient_norm(v, phi, gv, gphi, mirror)
-        if pg <= tol:
-            break
-    return v, phi, steps, pg
+    phi, s_phi, value, _ = projected_newton(phi, 0.0, np.pi, fixed_phi, phi_block, block_tol,
+                                            min(BLOCK_STEPS, MAX_HALF_STEPS))
+    del phi_block  # one block's arrays alive at a time
+    v_block = problem.v_block(phi)
+    v, s_v, _, gv = projected_newton(v, 0.0, 1.0, fixed_v, v_block, block_tol,
+                                     min(BLOCK_STEPS, MAX_HALF_STEPS - s_phi), value)
+    if gv is None:
+        gv = np.where(fixed_v, 0.0, v_block.gradient(v))
+    del v_block
+    gphi = np.where(fixed_phi, 0.0, problem.phi_block(v).gradient(phi))
+    return v, phi, s_phi + s_v, _projected_gradient_norm(v, phi, gv, gphi)
 
 
 def _interleave(a, b):
@@ -559,12 +543,11 @@ def _interleave(a, b):
 
 
 def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps):
-    """Projected Newton on the interleaved half-line pair (v_0, phi_0, v_1, phi_1, ...).
-
-    The objective is ``problem.joint()``, the box [0, 1] x [0, pi].  The stop
-    norm is the mirrored one of ``alternating_newton``: node 0 counts twice,
-    so its two rows stop at half of ``tol``.  Returns what
-    ``alternating_newton`` returns, with joint steps in place of half-steps.
+    """Projected Newton on the interleaved pair (v_0, phi_0, v_1, phi_1, ...),
+    the objective ``problem.joint()``, in the box [0, 1] x [0, pi].  The stop
+    norm is ``_projected_gradient_norm``: node 0 counts twice, so its rows stop
+    at half of ``tol``; on a full line node 0 is pinned, and that norm is the
+    full-line one.  Returns (v, phi, steps, final projected-gradient norm).
     """
     n = v.size
     tols = np.full(2 * n, tol)
@@ -577,7 +560,7 @@ def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps):
     if g is None:
         g = np.where(fixed, 0.0, objective.gradient(x))
     v, phi = x[0::2], x[1::2]
-    return v, phi, steps, _projected_gradient_norm(v, phi, g[0::2], g[1::2], True)
+    return v, phi, steps, _projected_gradient_norm(v, phi, g[0::2], g[1::2])
 
 
 def alternating_refine(
@@ -585,22 +568,28 @@ def alternating_refine(
     beta: float,
     grad_tol: float = 1e-8,
 ) -> tuple[ProfilePair, int]:
-    """Alternate the two convex block subproblems until joint stationarity.
-
-    The reference path: full line, both ends pinned, block rounds only, so
-    it checks ``solve`` (half line, one block round, then joint Newton) by
-    an independent route.  Returns the refined pair and the number of
-    Newton half-steps taken, at most ``MAX_HALF_STEPS``.  Refuses pairs
-    whose amplitude touches 0 (the angle substitution degenerates there).
+    """The reference path: joint Newton on the full line, which checks
+    ``solve`` (half line, symmetry imposed) by an independent route.  Both
+    ends are pinned, and phi = pi/2 at the interior node of the start nearest
+    pi/2: that removes the wall's near-flat translation mode and nothing else,
+    so the symmetry of the result is tested, not imposed.  Returns the refined
+    pair and the joint Newton steps taken, at most ``MAX_HALF_STEPS``; the
+    benchmark's tracer looks the function up by name and reads that count.
+    Refuses pairs whose amplitude touches 0, where the angle is undefined.
     """
     beta = analytic._check_beta(beta)
     if pair.v.min() <= 0.0:
         raise ValueError("v touches 0; refine is only valid for v bounded away from 0")
     grid = pair.grid
-    fixed = np.zeros(grid.n_points, dtype=bool)
-    fixed[0] = fixed[-1] = True
-    v, phi, steps, _ = alternating_newton(PairEnergy.unit(beta, grid), pair.v.copy(),
-                                          pair.phi.copy(), fixed, fixed, grad_tol)
+    fixed_v = np.zeros(grid.n_points, dtype=bool)
+    fixed_v[0] = fixed_v[-1] = True
+    fixed_phi = fixed_v.copy()
+    phi = pair.phi.copy()
+    crossing = 1 + int(np.argmin(np.abs(phi[1:-1] - 0.5 * np.pi)))
+    phi[crossing] = 0.5 * np.pi
+    fixed_phi[crossing] = True
+    v, phi, steps, _ = joint_newton(PairEnergy.unit(beta, grid), pair.v.copy(), phi,
+                                    fixed_v, fixed_phi, grad_tol, MAX_HALF_STEPS)
     return ProfilePair(grid, v, phi), steps
 
 
@@ -765,8 +754,7 @@ def solve(beta: float, config: SolverConfig | None = None,
     phi[0] = 0.5 * np.pi
     energy, fixed_v, fixed_phi = half_line_problem(beta, grid)
     tol = config.grad_tol
-    v, phi, block_steps, pg = alternating_newton(energy, v, phi, fixed_v, fixed_phi, tol,
-                                                 mirror=True, max_rounds=1)
+    v, phi, block_steps, pg = block_round(energy, v, phi, fixed_v, fixed_phi, tol)
     joint_steps = 0
     if pg > tol:
         v, phi, joint_steps, pg = joint_newton(energy, v, phi, fixed_v, fixed_phi, tol,

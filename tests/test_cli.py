@@ -155,6 +155,7 @@ class TestValidation:
         ["sigma", "--beta", "1", "--spacing", "1e-9"],  # 4e10 nodes, 320 GB a node array
         ["sigma", "--beta", "1", "--spacing", "5e-324"],  # more cells than a double counts
         ["profile", "--beta", "1e-30", "--dump", "never-written.txt"],
+        ["sigma", "--beta", "1e-300"],  # 2e153 nodes: counts in engineering form, not digits
     ])
     def test_grid_beyond_memory_is_refused_before_allocation(self, capsys, monkeypatch,
                                                              tmp_path, argv):
@@ -166,7 +167,7 @@ class TestValidation:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert len(err.splitlines()) == 1
+        assert len(err.splitlines()) == 1 and len(err) < 200
         assert err.startswith("memory failure: a grid of ")
         assert list(tmp_path.iterdir()) == []
 

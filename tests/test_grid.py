@@ -45,7 +45,9 @@ class TestGridMemory:
 
         monkeypatch.setattr(np, "linspace", no_linspace)
         n_points = 2 * 10**15 + 1  # 16 PB per node array
-        with pytest.raises(MemoryError, match=f"{n_points} nodes needs {8 * n_points} bytes"):
+        with pytest.raises(MemoryError, match=r"a grid of 2\.0e\+15 nodes needs 1\.6e\+16 bytes "
+                                              r"per node array, more than the \d\.\de\+\d+ bytes "
+                                              r"of physical memory$"):
             Grid1D(1.0, n_points)
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,15 @@ def random_pair(grid, rng):
     v[0] = v[-1] = 1.0
     phi[0], phi[-1] = 0.0, np.pi
     return ProfilePair(grid, v, phi)
+
+
+def moved_wall(result, shift, ripple):
+    """The pair of ``result`` moved by ``shift``, with v rippled by ``ripple`` sin 2t."""
+    t = result.grid.nodes
+    v = np.clip(np.interp(t - shift, t, result.pair.v) * (1.0 + ripple * np.sin(2.0 * t)),
+                0.0, 1.0)
+    v[0] = v[-1] = 1.0
+    return ProfilePair(result.grid, v, np.interp(t - shift, t, result.pair.phi))
 
 
 class TestDiscreteEnergy:
@@ -331,6 +342,30 @@ class TestSolvePhases:
         pinned = json.loads(path.read_text())["weak_profile"]["sigma"]
         assert abs(solve_cache(1e-4).sigma - pinned["values"][0]) <= pinned["tols"][0]
 
+    def test_monotone_across_half_steps(self):
+        beta = 1.0
+        g = Grid1D.from_spacing(10.0, 0.05)
+        rng = np.random.default_rng(9)
+        pair = random_pair(g, rng)
+        energy = solver.PairEnergy.unit(beta, g)
+        fixed = np.zeros(g.n_points, dtype=bool)
+        fixed[0] = fixed[-1] = True
+        v, phi = pair.v.copy(), pair.phi.copy()
+        e_prev = energy.terms(v, phi).total
+        for _ in range(6):
+            phi, _, value, _ = solver.projected_newton(
+                phi, 0.0, np.pi, fixed, energy.phi_block(v), 1e-12, 5)
+            e = energy.terms(v, phi).total
+            assert value == e
+            assert e <= e_prev + 1e-15
+            e_prev = e
+            v, _, value, _ = solver.projected_newton(
+                v, 0.0, 1.0, fixed, energy.v_block(phi), 1e-12, 5)
+            e = energy.terms(v, phi).total
+            assert value == e
+            assert e <= e_prev + 1e-15
+            e_prev = e
+
     def test_unit_solve_ends_in_joint_steps(self, beta1_result):
         assert 0 < beta1_result.joint_steps < beta1_result.iterations
 
@@ -438,29 +473,30 @@ class TestAlternatingRefine:
         assert steps > 0
         assert e1 < e0
 
-    def test_monotone_across_half_steps(self):
-        beta = 1.0
-        g = Grid1D.from_spacing(10.0, 0.05)
-        rng = np.random.default_rng(9)
-        pair = random_pair(g, rng)
-        energy = solver.PairEnergy.unit(beta, g)
-        fixed = np.zeros(g.n_points, dtype=bool)
-        fixed[0] = fixed[-1] = True
-        v, phi = pair.v.copy(), pair.phi.copy()
-        e_prev = energy.terms(v, phi).total
-        for _ in range(6):
-            phi, _, value, _ = solver.projected_newton(
-                phi, 0.0, np.pi, fixed, energy.phi_block(v), 1e-12, 5)
-            e = energy.terms(v, phi).total
-            assert value == e
-            assert e <= e_prev + 1e-15
-            e_prev = e
-            v, _, value, _ = solver.projected_newton(
-                v, 0.0, 1.0, fixed, energy.v_block(phi), 1e-12, 5)
-            e = energy.terms(v, phi).total
-            assert value == e
-            assert e <= e_prev + 1e-15
-            e_prev = e
+    @pytest.mark.parametrize("beta", [1.0, 1e2, 1e5])
+    def test_moved_rippled_wall_meets_the_symmetry_bounds(self, solve_cache, beta):
+        # acceptance 09's bounds, from a wall moved further and rippled harder
+        res = solve_cache(beta)
+        full, _ = solver.alternating_refine(moved_wall(res, 1.3, 0.1), beta)
+        d = solver.diagnostics(full)
+        assert abs(solver.discrete_energy(full, beta).total - res.sigma) <= 2e-6
+        assert max(d.v_symmetric_error, d.phi_antisymmetric_error) <= 1e-6
+        assert d.phi_monotone
+
+    def test_crossing_and_ends_stay_pinned(self, beta1_result):
+        start = moved_wall(beta1_result, 1.3, 0.1)
+        crossing = 1 + int(np.argmin(np.abs(start.phi[1:-1] - 0.5 * np.pi)))
+        assert start.phi[crossing] != 0.5 * np.pi  # the pin moves it onto pi/2
+        full, steps = solver.alternating_refine(start, 1.0)
+        assert steps > 0
+        assert full.phi[crossing] == 0.5 * np.pi
+        assert (full.v[0], full.v[-1]) == (start.v[0], start.v[-1])
+        assert (full.phi[0], full.phi[-1]) == (start.phi[0], start.phi[-1])
+
+    def test_acceptance_start_takes_few_steps(self, beta1_result):
+        # block rounds crawled along the translation mode: 75 half-steps
+        _, steps = solver.alternating_refine(moved_wall(beta1_result, 0.7, 0.02), 1.0)
+        assert 0 < steps <= 5
 
     def test_refuses_vanishing_amplitude(self):
         g = small_grid()
@@ -661,16 +697,18 @@ class TestHalfLine:
 
     def test_stop_norm_counts_node_zero_twice(self, beta1_result):
         # The half-line gradient at the mirror node is half the full-line
-        # one; with v(0) pushed until node 0 dominates, the driver's norm must
+        # one; with v(0) pushed until node 0 dominates, both drivers' norm must
         # equal the full-line norm of the reflected pair.
         grid = beta1_result.grid
         mid = grid.n_points // 2
         v, phi = beta1_result.pair.v[mid:].copy(), beta1_result.pair.phi[mid:]
         v[0] -= 1e-3
         energy, fixed_v, fixed_phi = solver.half_line_problem(1.0, grid)
-        _, _, steps, pg = solver.alternating_newton(energy, v, phi, fixed_v, fixed_phi,
-                                                    math.inf, mirror=True)
+        _, _, steps, pg = solver.block_round(energy, v, phi, fixed_v, fixed_phi, math.inf)
         assert steps == 0
+        _, _, joint_steps, joint_pg = solver.joint_newton(energy, v, phi, fixed_v, fixed_phi,
+                                                          math.inf, 1)
+        assert (joint_steps, joint_pg) == (0, pg)
         full = ProfilePair(grid, np.concatenate([v[:0:-1], v]),
                            np.concatenate([np.pi - phi[:0:-1], phi]))
         gv, gphi = solver.discrete_gradient(full, 1.0)
@@ -687,13 +725,25 @@ class TestBenchmarkContract:
     """What the benchmark harness reads from the solver."""
 
     def test_alternating_refine_returns_pair_and_steps(self):
-        # tracing.COUNTERS reads the half-step count as the second item
+        # tracing.COUNTERS reads the Newton step count as the second item
         g = small_grid()
         out = solver.alternating_refine(analytic.test_pair_fields(0.6, 1.0, g), 1.0)
         assert isinstance(out, tuple) and len(out) == 2
         pair, steps = out
         assert isinstance(pair, ProfilePair) and pair.grid == g
         assert isinstance(steps, int) and steps > 0
+
+    def test_traced_functions_exist(self, monkeypatch):
+        # a renamed function breaks only the traced (--trace 1) runs
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+        spec.loader.exec_module(tracing)
+        for layer, names in tracing.TARGETS.items():
+            module = importlib.import_module(f"bectension.{layer}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{layer}.{name}"
 
     @pytest.mark.parametrize("beta", [1e-4, 1.0, 1e5])
     def test_initial_pair_lives_on_the_full_grid(self, beta):
