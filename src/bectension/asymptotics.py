@@ -79,12 +79,15 @@ def _solve_row(result: solver.SurfaceTensionResult) -> SweepRow:
 def beta_sweep(betas, config: solver.SolverConfig | None = None) -> SweepTable:
     """One converged solve per distinct beta, on its beta-adapted default grid.
 
-    Rows are solved one after another and assembled in ascending beta.  If
-    any solve fails the partial table is raised inside a SweepError.
+    Rows are solved one after another and assembled in ascending beta.  A
+    beta that is not positive and finite (nan included) raises ValueError
+    before the first solve.  If any solve fails the partial table is raised
+    inside a SweepError.
     """
     betas = [float(b) for b in betas]
-    if any(b <= 0 for b in betas):
-        raise ValueError("all beta values must be positive")
+    bad = [b for b in betas if not 0.0 < b < math.inf]
+    if bad:
+        raise ValueError(f"all beta values must be positive and finite, got {bad}")
     rows: dict[float, SweepRow] = {}
     failures: dict[float, Exception] = {}
     for b in dict.fromkeys(betas):

@@ -291,6 +291,7 @@ def _constrained_newton(objective, constraints, x, fixed):
     Returns ``(x, steps, pg, why)``: pg the max-norm of the projected
     gradient of the Lagrangian, why None on convergence, else the reason.
     """
+    x = solver._frozen(x)  # so the energy, gradient and curvature at x share one sin and cos
     hi = np.tile([np.inf, np.pi], x.size // 2)
     lam = np.zeros(2)
     steps = 0

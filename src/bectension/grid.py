@@ -100,9 +100,12 @@ def dump_profile(pair: ProfilePair, path):
     (orjson's, e.g. ``-999.99 0.9999999999999993 6.320385104174875e-9``),
     so ``np.loadtxt`` reads the values back bit-exactly.  The rows are
     formatted ``_DUMP_BLOCK_ROWS`` at a time in this process: each block is
-    one ``orjson.dumps`` of its nested list, turned into lines.  orjson
-    writes a non-finite value as ``null``, so a table holding one raises
-    ``ValueError`` before the file is opened.
+    one ``orjson.dumps`` of its flat row-major values, ``[a,b,c,d,...]``.
+    One array pass over those bytes makes the lines: the brackets go, the
+    closing one becoming the last newline, and as no number's text holds a
+    comma, every third comma becomes a newline and the others spaces.
+    orjson writes a non-finite value as ``null``, so a table holding one
+    raises ``ValueError`` before the file is opened.
     """
     table = np.column_stack([pair.grid.nodes, pair.v, pair.phi])
     if not np.isfinite(table).all():
@@ -110,6 +113,11 @@ def dump_profile(pair: ProfilePair, path):
     with open(path, "wb") as fh:
         fh.write(b"# t v phi\n")
         for start in range(0, len(table), _DUMP_BLOCK_ROWS):
-            text = orjson.dumps(table[start:start + _DUMP_BLOCK_ROWS],
+            text = orjson.dumps(table[start:start + _DUMP_BLOCK_ROWS].ravel(),
                                 option=orjson.OPT_SERIALIZE_NUMPY)
-            fh.write(text[2:-2].replace(b"],[", b"\n").replace(b",", b" ") + b"\n")
+            lines = np.frombuffer(text, np.uint8)[1:].copy()
+            lines[-1] = ord("\n")  # was "]"
+            commas = np.flatnonzero(lines == ord(","))
+            lines[commas] = ord(" ")
+            lines[commas[2::3]] = ord("\n")
+            fh.write(lines)

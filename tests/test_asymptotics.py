@@ -95,6 +95,20 @@ class TestBetaSweep:
         with pytest.raises(ValueError):
             asymptotics.beta_sweep([1.0, 0.0])
 
+    @pytest.mark.parametrize("betas", [[1.0, math.nan, 10.0], [math.inf], [1.0, -math.inf],
+                                       [-2.0, 1.0]])
+    def test_rejects_non_finite_before_any_solve(self, monkeypatch, betas):
+        calls = []
+
+        def counting_solve(beta, config=None):
+            calls.append(beta)
+            raise AssertionError("solved before the beta list was checked")
+
+        monkeypatch.setattr(solver, "solve", counting_solve)
+        with pytest.raises(ValueError, match="positive and finite"):
+            asymptotics.beta_sweep(betas)
+        assert calls == []
+
 
 class TestLargeBetaReport:
     def test_synthetic_quarter_rate(self):

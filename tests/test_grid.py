@@ -71,6 +71,21 @@ class TestDumpProfile:
                 assert np.float64(token).view(np.int64) == np.float64(value).view(np.int64)
                 assert significant_digits(token) == significant_digits(repr(float(value)))
 
+    # a grid of one row, a block short by one row, a block and one row more,
+    # two blocks and one row more
+    @pytest.mark.parametrize("n_points", [3, 4095, 4097, 8193])
+    def test_block_edges_match_row_at_a_time_writer(self, tmp_path, n_points):
+        pair = ProfilePair(Grid1D(7.3, n_points), np.linspace(0.0, 1.0, n_points),
+                           np.linspace(0.0, np.pi, n_points))
+        edges = sorted({0, 1, 4094, 4095, 4096, n_points - 2, n_points - 1} & set(range(n_points)))
+        values = [-0.0, 5e-324, 1e308, 1e-7, -999.99]
+        for k, row in enumerate(edges):  # every planted value in both columns
+            pair.v[row] = values[k % len(values)]
+            pair.phi[row] = values[(k + 2) % len(values)]
+        dump_profile(pair, tmp_path / "blocked.txt")
+        row_at_a_time_dump(pair, tmp_path / "rows.txt")
+        assert (tmp_path / "blocked.txt").read_bytes() == (tmp_path / "rows.txt").read_bytes()
+
     def test_planted_values_read_back_bit_exactly(self, tmp_path):
         pair = planted_pair(8195)
         dump_profile(pair, tmp_path / "dump.txt")

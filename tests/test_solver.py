@@ -3,6 +3,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,6 +156,39 @@ class TestBlockExactness:
             ref.assert_blocks_match(energy, pair.v, pair.phi,
                                     lambda e, v, phi: e.terms(v, phi).total,
                                     ref.pair_gradient, ref.pair_curvature)
+
+    def test_in_place_edit_is_never_served_stale(self):
+        # each block function evaluated at x, then at x with one entry changed
+        # in place, gives what a freshly built block gives at the changed x
+        g = small_grid()
+        pair = random_pair(g, np.random.default_rng(37))
+        j = g.n_points // 3
+
+        def blocks(v, phi):
+            energy = solver.PairEnergy.unit(1.0, g)
+            return {"phi": (energy.phi_block(v), phi), "v": (energy.v_block(phi), v),
+                    "joint": (energy.joint(), solver._interleave(v, phi))}
+
+        def evaluate(block, x):  # the curvature's arrays, or band rows, end to end
+            return block.energy(x), block.gradient(x), np.concatenate(block.curvature(x))
+
+        for name, (block, x) in blocks(pair.v.copy(), pair.phi.copy()).items():
+            before = evaluate(block, x)
+            x[2 * j + 1 if name == "joint" else j] += 0.25  # phi in the joint x
+            v, phi = {"phi": (pair.v, x), "v": (x, pair.phi),
+                      "joint": (x[0::2], x[1::2])}[name]
+            fresh, _ = blocks(v.copy(), phi.copy())[name]
+            got, want = evaluate(block, x), evaluate(fresh, x.copy())
+            assert got[0] == want[0] != before[0]
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(got[2], want[2])
+
+    def test_frozen_iterates_cannot_change(self):
+        x = solver._frozen(np.linspace(0.0, 1.0, 7))
+        with pytest.raises(ValueError):
+            x[3] = 2.0
+        with pytest.raises(ValueError):
+            x.flags.writeable = True
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
     def test_block_gradients_are_discrete_gradient(self, beta):
@@ -336,6 +370,21 @@ class TestSolvePhases:
                                       np.concatenate([np.pi - phi[:0:-1], phi]))
         assert result.iterations == s_phi + s_v == half_steps
         assert result.joint_steps == 0
+
+    # full-grid node-passes of np.sin and np.cos per solve: 14, 50 and 40 when
+    # every block function took its own sin and cos and the report was unblocked
+    @pytest.mark.parametrize("beta, passes", [(1e-4, 10), (1.0, 32), (1e5, 23)])
+    def test_sin_and_cos_once_per_iterate(self, monkeypatch, beta, passes):
+        counted = []
+        for name in ("sin", "cos"):
+            def counting(x, *args, _f=getattr(np, name), **kwargs):
+                counted.append(np.size(x))
+                return _f(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        result = solver.solve(beta)
+        monkeypatch.undo()
+        assert sum(counted) / result.grid.n_points <= passes
 
     def test_weak_sigma_keeps_the_benchmark_reference(self, solve_cache):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -669,6 +718,49 @@ class TestResiduals:
     def test_converged_residuals_at_default_grid(self, beta1_result):
         assert beta1_result.el_residual_v <= 1e-3
         assert beta1_result.el_residual_phi <= 1e-3
+
+    @staticmethod
+    def whole_line_report(pair, beta):
+        """The two residuals by their formulas on the whole line, unblocked."""
+        v, phi, h = pair.v, pair.phi, pair.grid.spacing
+        v_i, phi_i = v[1:-1], phi[1:-1]
+        lap_v = (v[2:] - 2.0 * v_i + v[:-2]) / h**2
+        dphi_c = (phi[2:] - phi[:-2]) / (2.0 * h)
+        res_v = (-lap_v - (1.0 - v_i**2) * v_i + 0.25 * v_i * dphi_c**2
+                 + 0.5 * beta * v_i**3 * np.sin(phi_i) ** 2)
+        v2 = v * v
+        flux = 0.5 * (v2[:-1] + v2[1:]) * np.diff(phi) / h
+        res_phi = -(flux[1:] - flux[:-1]) / h + beta * v_i**4 * np.sin(phi_i) * np.cos(phi_i)
+        dv, dphi = np.diff(v)[1:] / h, np.diff(phi)[1:] / h
+        r = (dv ** 2 + 0.25 * v_i ** 2 * dphi ** 2 - 0.5 * (1.0 - v_i ** 2) ** 2
+             - 0.25 * beta * v_i ** 4 * np.sin(phi_i) ** 2)
+        return (float(np.abs(res_v).max()), float(np.abs(res_phi).max()),
+                float(np.sqrt(h * np.sum(r * r))))
+
+    # 1 interior node; a block short by one node; one full block; three full
+    # blocks and a block of three.  An even count needs a stand-in for
+    # Grid1D, which the residuals read only for the spacing and node count.
+    @pytest.mark.parametrize("n_points", [3, solver.REPORT_BLOCK + 1, solver.REPORT_BLOCK + 2,
+                                          3 * solver.REPORT_BLOCK + 5])
+    def test_blocked_report_matches_whole_line_formulas(self, n_points):
+        grid = SimpleNamespace(spacing=0.01, n_points=n_points)
+        rng = np.random.default_rng(n_points)
+        v0, phi0 = rng.uniform(0.2, 1.0, n_points), np.pi * rng.uniform(0.0, 1.0, n_points)
+        # a spike on the first and on the last interior node of each block
+        firsts = range(1, n_points - 1, solver.REPORT_BLOCK)
+        edges = sorted({k for lo in firsts
+                        for k in (lo, min(lo + solver.REPORT_BLOCK, n_points - 1) - 1)})
+        for node in [None, *edges]:
+            pair = ProfilePair(grid, v0.copy(), phi0.copy())
+            if node is not None:
+                pair.v[node] += 3.0
+                pair.phi[node] += 2.0
+            for beta in (1e-4, 1.0, 1e5):
+                res_v, res_phi, equip = self.whole_line_report(pair, beta)
+                assert solver.el_residual(pair, beta) == (res_v, res_phi)
+                # stronger than the 1e-15 relative a blocked sum would allow:
+                # the squares are summed in one call, as on the whole line
+                assert solver.equipartition_residual(pair, beta) == equip
 
 
 class TestDiagnosticsAndSymmetry:
