@@ -128,23 +128,24 @@ def plateau_objective(m: float, beta: float) -> float:
     The T-optimized test-pair energy is sqrt(2) * (plateau_objective + 2/3),
     so minimizing this over m in [0,1] gives the best plateau test pair.
     """
-    m = _check_depth(m)
-    beta = _check_beta(beta)
-    return (m**3 / 3.0 - m) + 0.25 * math.pi * m * math.sqrt(
-        (1.0 - m**2) ** 2 + beta * m**4 / 4.0
-    )
+    return float(_plateau_objective(_check_depth(m), _check_beta(beta)))
+
+
+def _plateau_objective(m, beta):
+    """``plateau_objective`` unchecked, at one depth or elementwise over an array."""
+    return (m**3 / 3.0 - m) + 0.25 * math.pi * m * np.sqrt((1.0 - m**2) ** 2 + beta * m**4 / 4.0)
 
 
 def minimize_plateau_objective(beta: float) -> tuple[float, float]:
     """Best plateau depth for the given beta: returns (m, objective value).
 
     Unimodality of the objective is not guaranteed, so a 256-point grid scan
-    picks the best cell and golden-section search descends inside it.
+    (one array evaluation) picks the best cell and golden-section search
+    descends inside it.
     """
     beta = _check_beta(beta)
     ms = np.linspace(0.0, 1.0, 257)
-    vals = np.array([plateau_objective(m, beta) for m in ms])
-    k = int(np.argmin(vals))
+    k = int(np.argmin(_plateau_objective(ms, beta)))
     lo = ms[max(k - 1, 0)]
     hi = ms[min(k + 1, len(ms) - 1)]
 
@@ -187,19 +188,18 @@ class SigmaBracket:
     upper: float
 
 
-def sigma_bracket(beta: float, plateau: tuple[float, float] | None = None) -> SigmaBracket:
+def sigma_bracket(beta: float) -> SigmaBracket:
     """Closed-form bracket lower <= sigma(beta) <= upper <= 2*sqrt(2)/3.
 
     Lower: minimum over m of sqrt(2)(2/3 - m + m^3 (1/3 + sqrt(beta)/(2 sqrt(2)))),
     attained at the cubic's stationary point.  Upper: the T- and m-optimized
-    plateau test-pair energy.  ``plateau`` is ``minimize_plateau_objective(beta)``
-    when the caller has it.
+    plateau test-pair energy.
     """
     beta = _check_beta(beta)
     a = 1.0 / 3.0 + math.sqrt(beta) / (2.0 * SQRT2)
     m_c = 1.0 / math.sqrt(3.0 * a)  # always <= 1 since a >= 1/3
     lower = SQRT2 * (2.0 / 3.0 - m_c + a * m_c**3)
-    _, obj = plateau or minimize_plateau_objective(beta)
+    _, obj = minimize_plateau_objective(beta)
     upper = SQRT2 * (obj + 2.0 / 3.0)
     return SigmaBracket(lower=lower, upper=upper)
 

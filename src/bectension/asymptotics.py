@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import analytic, solver
+from .grid import require_positive
 
 # Certificate constant of the weak-coupling bound sigma <= C*sqrt(beta).  The
 # kink pair v = 1, phi = 2 arctan(exp(sqrt(beta) t)) has phi' = sqrt(beta)
@@ -76,23 +77,27 @@ def _solve_row(result: solver.SurfaceTensionResult) -> SweepRow:
     )
 
 
-def beta_sweep(betas, config: solver.SolverConfig | None = None) -> SweepTable:
+def beta_sweep(betas, **options) -> SweepTable:
     """One converged solve per distinct beta, on its beta-adapted default grid.
 
-    Rows are solved one after another and assembled in ascending beta.  A
-    beta that is not positive and finite (nan included) raises ValueError
-    before the first solve.  If any solve fails the partial table is raised
-    inside a SweepError.
+    ``options`` (``half_width``, ``spacing``, ``grad_tol``) go to every
+    ``solver.solve``.  Rows are solved one after another and assembled in
+    ascending beta.  A beta or an option that is not positive and finite
+    (nan included) raises ValueError before the first solve.  If any solve
+    fails the partial table is raised inside a SweepError.
     """
     betas = [float(b) for b in betas]
     bad = [b for b in betas if not 0.0 < b < math.inf]
     if bad:
         raise ValueError(f"all beta values must be positive and finite, got {bad}")
+    for name, value in options.items():
+        if value is not None:
+            require_positive(name, value)
     rows: dict[float, SweepRow] = {}
     failures: dict[float, Exception] = {}
     for b in dict.fromkeys(betas):
         try:
-            rows[b] = _solve_row(solver.solve(b, config))
+            rows[b] = _solve_row(solver.solve(b, **options))
         except Exception as exc:  # noqa: BLE001 - reported per beta
             failures[b] = exc
     table = SweepTable(list(rows.values()))

@@ -113,85 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_config(args) -> solver.SolverConfig:
-    return solver.SolverConfig(
-        half_width=args.half_width,
-        spacing=args.spacing,
-        grad_tol=args.grad_tol,
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "bounds":
-            bracket = analytic.sigma_bracket(args.beta)
-            print(f"bracket at beta={args.beta:g}: [{bracket.lower:.12g}, {bracket.upper:.12g}]",
-                  file=sys.stderr)
-            emit([{"beta": args.beta, "lower": bracket.lower, "upper": bracket.upper}],
-                 args.format, args.output)
-            return 0
-
-        if args.command in ("sigma", "profile"):
-            result = solver.solve(args.beta, _solver_config(args))
-            steps = (f"{result.iterations - result.joint_steps} block + "
-                     f"{result.joint_steps} joint Newton steps")
-            if args.command == "profile":
-                dump_profile(result.pair, args.dump)
-                print(f"profile for beta={args.beta:g} written to {args.dump} "
-                      f"({result.grid.n_points} nodes, {steps})", file=sys.stderr)
-            else:
-                print(f"sigma(beta={args.beta:g}) = {result.sigma:.12g} "
-                      f"(dip {result.inf_v:.6g} at t={result.argmin_v:.6g}, {steps})",
-                      file=sys.stderr)
-            emit([asdict(asymptotics._solve_row(result))], args.format, args.output)
-            return 0
-
-        if args.command == "sweep":
-            table = asymptotics.beta_sweep(parse_beta_list(args.betas), _solver_config(args))
-            for line in _sweep_reports(table):
-                print(line, file=sys.stderr)
-            emit(asymptotics.sweep_csv_rows(table), args.format, args.output)
-            return 0
-
-        if args.command == "tf":
-            model = tf_geometry.TFModel(args.dim)
-            report = tf_geometry.symmetry_breaking_report(model)
-            concavity = tf_geometry.concavity_report(model)
-            row = {  # a bad --alpha raises here, before anything is printed
-                "dim": args.dim,
-                "lambda": model.lam,
-                "alpha": args.alpha,
-                "radius_alpha": tf_geometry.radius_for_mass(args.alpha, model),
-                "f_alpha": tf_geometry.radial_energy(args.alpha, model),
-                "candidate_alpha": tf_geometry.nonradial_candidate_energy(args.alpha, model),
-                "split_radius": report.split_radius,
-                "radial_min": report.radial_min,
-                "candidate": report.candidate,
-                "ratio": report.ratio,
-                "broken": report.broken,
-                "derived_from_citation": report.derived_from_citation,
-                "concavity_pass": concavity.passed,
-            }
-            print(f"dim {args.dim}: discriminant {report.ratio:.6g} "
-                  f"({'broken' if report.broken else 'radial'}), "
-                  f"concavity {'ok' if concavity.passed else 'FAILED'}", file=sys.stderr)
-            emit([row], args.format, args.output)
-            return 0
-
-        if args.command == "gamma":
-            try:
-                eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
-            except ValueError:
-                parser.error(f"cannot parse eps list {args.eps_list!r}")
-            rows = gp_validation.gamma_table(eps_list, args.beta, alpha1=args.alpha1)
-            for row in rows:
-                print(f"eps={row.eps:g}: gap {row.gap:+.6g} ({abs(row.gap) / row.limit_energy:.2%} "
-                      f"of limit, {row.newton_steps} Newton steps)", file=sys.stderr)
-            emit(gp_validation.gamma_csv_rows(rows), args.format, args.output)
-            return 0
+        return _run(parser, args)
     except ValueError as exc:  # input rejected where it is used: grid, beta, eps or alpha
         parser.error(str(exc))
     except solver.ConvergenceError as exc:
@@ -206,6 +133,79 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # e.g. a grid too fine for memory
         print(f"memory failure: {exc}", file=sys.stderr)
         return 1
+
+
+@np.errstate(all="ignore")  # a degenerate grid ends in its one failure line, not warnings
+def _run(parser, args) -> int:
+    """Run the parsed subcommand; ``main`` turns its exceptions into exit codes."""
+    if args.command == "bounds":
+        bracket = analytic.sigma_bracket(args.beta)
+        print(f"bracket at beta={args.beta:g}: [{bracket.lower:.12g}, {bracket.upper:.12g}]",
+              file=sys.stderr)
+        emit([{"beta": args.beta, "lower": bracket.lower, "upper": bracket.upper}],
+             args.format, args.output)
+        return 0
+
+    if args.command in ("sigma", "profile"):
+        result = solver.solve(args.beta, half_width=args.half_width, spacing=args.spacing,
+                              grad_tol=args.grad_tol)
+        steps = (f"{result.iterations - result.joint_steps} block + "
+                 f"{result.joint_steps} joint Newton steps")
+        if args.command == "profile":
+            dump_profile(result.pair, args.dump)
+            print(f"profile for beta={args.beta:g} written to {args.dump} "
+                  f"({result.grid.n_points} nodes, {steps})", file=sys.stderr)
+        else:
+            print(f"sigma(beta={args.beta:g}) = {result.sigma:.12g} "
+                  f"(dip {result.inf_v:.6g} at t={result.argmin_v:.6g}, {steps})",
+                  file=sys.stderr)
+        emit([asdict(asymptotics._solve_row(result))], args.format, args.output)
+        return 0
+
+    if args.command == "sweep":
+        table = asymptotics.beta_sweep(parse_beta_list(args.betas), half_width=args.half_width,
+                                       spacing=args.spacing, grad_tol=args.grad_tol)
+        for line in _sweep_reports(table):
+            print(line, file=sys.stderr)
+        emit(asymptotics.sweep_csv_rows(table), args.format, args.output)
+        return 0
+
+    if args.command == "tf":
+        model = tf_geometry.TFModel(args.dim)
+        report = tf_geometry.symmetry_breaking_report(model)
+        concavity = tf_geometry.concavity_report(model)
+        row = {  # a bad --alpha raises here, before anything is printed
+            "dim": args.dim,
+            "lambda": model.lam,
+            "alpha": args.alpha,
+            "radius_alpha": tf_geometry.radius_for_mass(args.alpha, model),
+            "f_alpha": tf_geometry.radial_energy(args.alpha, model),
+            "candidate_alpha": tf_geometry.nonradial_candidate_energy(args.alpha, model),
+            "split_radius": report.split_radius,
+            "radial_min": report.radial_min,
+            "candidate": report.candidate,
+            "ratio": report.ratio,
+            "broken": report.broken,
+            "derived_from_citation": report.derived_from_citation,
+            "concavity_pass": concavity.passed,
+        }
+        print(f"dim {args.dim}: discriminant {report.ratio:.6g} "
+              f"({'broken' if report.broken else 'radial'}), "
+              f"concavity {'ok' if concavity.passed else 'FAILED'}", file=sys.stderr)
+        emit([row], args.format, args.output)
+        return 0
+
+    if args.command == "gamma":
+        try:
+            eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
+        except ValueError:
+            parser.error(f"cannot parse eps list {args.eps_list!r}")
+        rows = gp_validation.gamma_table(eps_list, args.beta, alpha1=args.alpha1)
+        for row in rows:
+            print(f"eps={row.eps:g}: gap {row.gap:+.6g} ({abs(row.gap) / row.limit_energy:.2%} "
+                  f"of limit, {row.newton_steps} Newton steps)", file=sys.stderr)
+        emit(gp_validation.gamma_csv_rows(rows), args.format, args.output)
+        return 0
     return 2  # unreachable: subcommands are required
 
 

@@ -29,6 +29,7 @@ from .solver import dgbsv
 
 TF_MODEL = tf_geometry.TFModel(1)
 TF_LAMBDA = TF_MODEL.lam
+GROUND_TOL = 1e-9  # max-norm of the ground state's sphere-tangent gradient at the end
 
 
 def _check_eps(eps: float) -> float:
@@ -75,7 +76,7 @@ def _gp_gradient(u, x, eps, h, w):
     return g
 
 
-def solve_ground_state(eps: float, grid: Grid1D | None = None, tol: float = 1e-9) -> GroundState:
+def solve_ground_state(eps: float, grid: Grid1D | None = None) -> GroundState:
     """Minimize the single-component energy on the unit sphere of L2.
 
     Bordered Newton on the stationarity system g = mu * grad(c), c = 0, from
@@ -83,7 +84,7 @@ def solve_ground_state(eps: float, grid: Grid1D | None = None, tol: float = 1e-9
     Lagrangian and the constraint gradient share one Cholesky factorization
     (``solver.band_solve``), and the constraint row is eliminated by
     Sherman-Morrison.  Each step is renormalized.  Converged when the
-    max-norm of the sphere-tangent gradient falls below ``tol``.  A spent
+    max-norm of the sphere-tangent gradient falls below ``GROUND_TOL``.  A spent
     budget of 60 steps, or a Hessian that is not positive definite, raises
     ConvergenceError carrying the last normalized state.  Boundary values are
     pinned at zero; interior values of the result are strictly positive.
@@ -115,7 +116,7 @@ def solve_ground_state(eps: float, grid: Grid1D | None = None, tol: float = 1e-9
         mu = solver.dot(g, gc) / solver.dot(gc, gc)
         gt = g - mu * gc
         gt[0] = gt[-1] = 0.0
-        if np.abs(gt).max() <= tol:
+        if np.abs(gt).max() <= GROUND_TOL:
             break
         if steps == 60:
             raise stop(f"stalled at tangent gradient {np.abs(gt).max():.3e}")
@@ -337,7 +338,6 @@ def minimize_weighted_pair(
     alpha1: float = 0.5,
     sigma: float | None = None,
     eta: GroundState | None = None,
-    plateau: tuple[float, float] | None = None,
 ) -> GammaRow:
     """Minimize eps * F under both mass constraints; report the limit gap.
 
@@ -351,16 +351,14 @@ def minimize_weighted_pair(
     mass constraint holds at the density maximum; on the constraint tangent
     space the Hessian is positive definite.  A spent budget, a stalled line
     search or a singular system raises ConvergenceError carrying the row.
-    ``plateau`` is ``analytic.minimize_plateau_objective(beta)`` when the caller has it.
     """
     eps = _check_eps(eps)
     beta = analytic._check_beta(beta)
     t0 = interface_location(alpha1)
     if eta is None:
         eta = solve_ground_state(eps)
-    plateau = plateau or analytic.minimize_plateau_objective(beta)
     if sigma is None:
-        sigma = solver.solve(beta, plateau=plateau).sigma
+        sigma = solver.solve(beta).sigma
     grid = eta.grid
     x = grid.nodes
     mass = grid.spacing * grid.trapezoid_weights() * eta.values**2
@@ -368,7 +366,7 @@ def minimize_weighted_pair(
     rho0 = tf_geometry.tf_density(t0, TF_MODEL)
     limit_energy = tf_geometry.local_surface_tension(t0, TF_MODEL, sigma)
 
-    m_bar, _ = plateau
+    m_bar, _ = analytic.minimize_plateau_objective(beta)
     T = analytic.optimal_plateau_halfwidth(m_bar, beta)
     v, phi = analytic.plateau_profiles(m_bar, T, math.sqrt(rho0) * (x - t0) / eps)
     v = v / math.sqrt(float(np.sum(mass * v * v)))
@@ -429,11 +427,9 @@ def gamma_table(
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     interface_location(alpha1)  # rejects a bad alpha1 before the first solve
-    plateau = analytic.minimize_plateau_objective(beta)  # the start of every solve
     if sigma is None:
-        sigma = solver.solve(beta, plateau=plateau).sigma
-    return [minimize_weighted_pair(eps, beta, alpha1=alpha1, sigma=sigma, plateau=plateau)
-            for eps in eps_list]
+        sigma = solver.solve(beta).sigma
+    return [minimize_weighted_pair(eps, beta, alpha1=alpha1, sigma=sigma) for eps in eps_list]
 
 
 def gamma_csv_rows(rows) -> list[dict]:

@@ -112,16 +112,6 @@ class EnergyBreakdown:
 
 
 @dataclass
-class SolverConfig:
-    half_width: float | None = None       # grid override; default depends on beta
-    spacing: float | None = None          # grid override (target; actual h <= this)
-    grad_tol: float = 1e-8                # max-norm of the projected gradient
-
-    def __post_init__(self):
-        require_positive("grad_tol", self.grad_tol)
-
-
-@dataclass
 class SurfaceTensionResult:
     beta: float
     sigma: float
@@ -676,7 +666,7 @@ def el_residual(pair: ProfilePair, beta: float) -> tuple[float, float]:
         v, phi = pair.v[block], pair.phi[block]
         v_i = v[1:-1]
         sin_i = np.sin(phi[1:-1])
-        lap_v = (v[2:] - 2.0 * v_i + v[:-2]) / h**2
+        lap_v = (v[2:] - 2.0 * v_i + v[:-2]) / (h * h)  # h**2 raises OverflowError past 1.3e154
         dphi_c = (phi[2:] - phi[:-2]) / (2.0 * h)
         res_v = (
             -lap_v
@@ -778,13 +768,9 @@ def diagnostics(pair: ProfilePair) -> PairDiagnostics:
 # top-level solve
 # ---------------------------------------------------------------------------
 
-def initial_pair(beta: float, grid: Grid1D,
-                 plateau: tuple[float, float] | None = None) -> ProfilePair:
-    """The optimal plateau test pair, the starting point of every solve.
-
-    ``plateau`` is ``analytic.minimize_plateau_objective(beta)`` when the caller has it.
-    """
-    m_bar, _ = plateau or analytic.minimize_plateau_objective(beta)
+def initial_pair(beta: float, grid: Grid1D) -> ProfilePair:
+    """The optimal plateau test pair, the starting point of every solve."""
+    m_bar, _ = analytic.minimize_plateau_objective(beta)
     T = analytic.optimal_plateau_halfwidth(m_bar, beta)
     return analytic.test_pair_fields(m_bar, T, grid)
 
@@ -806,36 +792,36 @@ def half_line_problem(beta: float, grid: Grid1D):
     return PairEnergy(beta, grid.spacing, np.ones(n - 1), np.ones(n), pot), fixed_v, fixed_phi
 
 
-def solve(beta: float, config: SolverConfig | None = None,
-          plateau: tuple[float, float] | None = None) -> SurfaceTensionResult:
+def solve(beta: float, *, half_width: float | None = None, spacing: float | None = None,
+          grad_tol: float = 1e-8) -> SurfaceTensionResult:
     """Minimize the transition energy at fixed beta and report diagnostics.
 
+    ``half_width`` and ``spacing`` (a target: the actual spacing is at most
+    this) override the beta-adapted default grid; ``grad_tol`` bounds the
+    max-norm of the projected gradient at the end.
     Solves on the half line and reflects the result onto the full grid: one
     block round, then joint Newton unless that round met the tolerance.
     Both phases share the budget ``MAX_HALF_STEPS``; a spent budget or a
     stall raises ConvergenceError naming the phase.
     A sigma outside ``analytic.sigma_bracket`` (grid too narrow or too coarse) raises ValueError.
-    ``plateau`` is ``analytic.minimize_plateau_objective(beta)`` when the caller has it; the
-    start and the bracket share it.
     """
     beta = analytic._check_beta(beta)
-    config = config or SolverConfig()
+    require_positive("grad_tol", grad_tol)
 
-    half_width, n_points = default_grid_size(beta)
-    if config.half_width is not None or config.spacing is not None:
-        # sized without building the default grid, which may not fit in memory
-        spacing = 2.0 * half_width / (n_points - 1)  # the default grid's Grid1D.spacing
-        half_width = half_width if config.half_width is None else config.half_width
-        n_points = odd_node_count(half_width, spacing if config.spacing is None else config.spacing)
-    grid = Grid1D(half_width, n_points)
+    default_half_width, n_points = default_grid_size(beta)
+    if half_width is None and spacing is None:
+        grid = Grid1D(default_half_width, n_points)
+    else:  # sized without building the default grid, which may not fit in memory
+        default_spacing = 2.0 * default_half_width / (n_points - 1)  # its Grid1D.spacing
+        grid = Grid1D.from_spacing(default_half_width if half_width is None else half_width,
+                                   default_spacing if spacing is None else spacing)
 
-    plateau = plateau or analytic.minimize_plateau_objective(beta)
-    start = initial_pair(beta, grid, plateau)
+    start = initial_pair(beta, grid)
     mid = grid.n_points // 2
     v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
     phi[0] = 0.5 * np.pi
     energy, fixed_v, fixed_phi = half_line_problem(beta, grid)
-    tol = config.grad_tol
+    tol = grad_tol
     v, phi, block_steps, pg = block_round(energy, v, phi, fixed_v, fixed_phi, tol)
     joint_steps = 0
     if pg > tol:
@@ -845,7 +831,7 @@ def solve(beta: float, config: SolverConfig | None = None,
     pair = ProfilePair(grid, np.concatenate([v[:0:-1], v]),
                        np.concatenate([np.pi - phi[:0:-1], phi]))
     res_v, res_phi = el_residual(pair, beta)
-    bracket = analytic.sigma_bracket(beta, plateau)
+    bracket = analytic.sigma_bracket(beta)
     result = SurfaceTensionResult(
         beta=beta,
         sigma=float(discrete_energy(pair, beta).total),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
-from bectension import analytic, solver
+from bectension import solver
 
 
 def mm_half_line_oracle(m, half_length=40.0, h=0.005):
@@ -30,16 +30,6 @@ def mm_half_line_oracle(m, half_length=40.0, h=0.005):
     res = scipy_minimize(fun, v0[1:], jac=True, method="L-BFGS-B",
                          options={"maxiter": 20000, "ftol": 1e-16, "gtol": 1e-12})
     return res.fun
-
-
-@pytest.fixture
-def plateau_calls(monkeypatch):
-    """The beta of every ``analytic.minimize_plateau_objective`` call the test makes."""
-    search = analytic.minimize_plateau_objective
-    calls = []
-    monkeypatch.setattr(analytic, "minimize_plateau_objective",
-                        lambda beta: calls.append(beta) or search(beta))
-    return calls
 
 
 @pytest.fixture(scope="session")

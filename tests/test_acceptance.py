@@ -92,7 +92,7 @@ def test_06_radial_energy_concavity():
 def fine_beta1():
     out = {}
     for h in (4e-3, 2e-3, 1e-3):
-        out[h] = solver.solve(1.0, solver.SolverConfig(spacing=h))
+        out[h] = solver.solve(1.0, spacing=h)
     return out
 
 

@@ -127,6 +127,22 @@ class TestPlateauObjective:
         grid_vals = [analytic.plateau_objective(m, beta) for m in grid]
         assert val <= min(grid_vals) + 1e-12
 
+    def test_array_scan_is_the_pointwise_objective(self):
+        # the search scans its 257 depths as one array; it must pick the
+        # same cell as the per-depth calls, so the values agree bit for bit
+        ms = np.linspace(0.0, 1.0, 257)
+        for beta in np.logspace(-9.0, 9.0, 181):
+            pointwise = [analytic.plateau_objective(m, beta) for m in ms]
+            assert analytic._plateau_objective(ms, beta).tobytes() == np.array(pointwise).tobytes()
+
+    @pytest.mark.parametrize("beta", [1e-4, 1.0, 1e5])
+    def test_return_types(self, beta):
+        assert type(analytic.plateau_objective(0.5, beta)) is float
+        m_bar, val = analytic.minimize_plateau_objective(beta)
+        assert isinstance(m_bar, float) and type(val) is float
+        br = analytic.sigma_bracket(beta)
+        assert type(br.lower) is float and type(br.upper) is float
+
 
 class TestCubicRoot:
     @pytest.mark.parametrize("c", [-2.0, -1.5, -0.3, 0.0, 0.7, 1.9, 2.0])

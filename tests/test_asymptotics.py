@@ -51,14 +51,12 @@ class TestLoglogSlope:
 
 
 class TestBetaSweep:
-    def test_single_beta_delegates(self, plateau_calls, beta1_result):
+    def test_single_beta_delegates(self, beta1_result):
         table = asymptotics.beta_sweep([1.0])
         assert len(table) == 1
         row = table.rows[0]
         assert row.sigma == pytest.approx(beta1_result.sigma, abs=1e-12)
         assert row.lower <= row.sigma <= row.upper
-        # the start, the solve's bracket check and the row share one plateau search
-        assert plateau_calls == [1.0]
         assert (row.lower, row.upper) == dataclasses.astuple(analytic.sigma_bracket(1.0))
 
     def test_sigma_nondecreasing_and_bracketed(self):
@@ -72,7 +70,7 @@ class TestBetaSweep:
     def test_repeated_beta_solved_once(self, monkeypatch, beta1_result):
         calls = []
 
-        def counting_solve(beta, config=None):
+        def counting_solve(beta, **options):
             calls.append(beta)
             return beta1_result
 
@@ -83,13 +81,22 @@ class TestBetaSweep:
 
     def test_failures_carry_partial_table(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_HALF_STEPS", 2)
-        bad = solver.SolverConfig(half_width=5.0, spacing=0.05, grad_tol=1e-14)
         with pytest.raises(asymptotics.SweepError) as err:
-            asymptotics.beta_sweep([1.0, 2.0], bad)
+            asymptotics.beta_sweep([1.0, 2.0], half_width=5.0, spacing=0.05, grad_tol=1e-14)
         assert set(err.value.failures) == {1.0, 2.0}
         assert len(err.value.table) == 0
         for beta in (1.0, 2.0):
             assert f"beta={beta:g}: {err.value.failures[beta]}" in str(err.value)
+
+    @pytest.mark.parametrize("options", [dict(grad_tol=0.0), dict(half_width=-1.0),
+                                         dict(spacing=math.nan), dict(grad_tol=math.inf)])
+    def test_rejects_bad_options_before_any_solve(self, monkeypatch, options):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the options were checked")
+
+        monkeypatch.setattr(solver, "solve", no_solve)
+        with pytest.raises(ValueError, match=f"^{next(iter(options))} must be positive"):
+            asymptotics.beta_sweep([1.0, 2.0], **options)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -100,7 +107,7 @@ class TestBetaSweep:
     def test_rejects_non_finite_before_any_solve(self, monkeypatch, betas):
         calls = []
 
-        def counting_solve(beta, config=None):
+        def counting_solve(beta, **options):
             calls.append(beta)
             raise AssertionError("solved before the beta list was checked")
 

@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,9 @@ class TestValidation:
         ["sigma", "--beta", "1", "--half-width", "inf"],
         ["sigma", "--beta", "1", "--grad-tol", "nan"],
         ["sigma", "--beta", "1", "--grad-tol", "inf"],
+        ["sweep", "--betas", "1:2:2-log", "--grad-tol", "0"],
+        ["sweep", "--betas", "1:2:2-log", "--half-width", "-1"],
+        ["sweep", "--betas", "1:2:2-log", "--spacing", "nan"],
         ["sigma", "--beta", "1", "--half-width", "0.5"],  # sigma 1.049 above its bracket
         ["gamma", "--beta", "1", "--eps-list", ","],
         ["gamma", "--beta", "1", "--eps-list", "0.04,x"],
@@ -187,6 +191,34 @@ class TestValidation:
                               "a grid of ")
         assert "bytes of physical memory" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sigma", "--beta", "1", "--half-width", "1e170", "--spacing", "1e169"],  # h^2 overflows
+        ["profile", "--beta", "1", "--half-width", "1e170", "--spacing", "1e169",
+         "--dump", "never-written.txt"],
+        ["sigma", "--beta", "1", "--half-width", "1e-300"],  # h^2 underflows to 0
+    ])
+    def test_degenerate_grid_is_one_failure_line(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("solver failure: ")
+        assert caught == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_degenerate_grid_fails_every_sweep_row_without_overflow(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--betas", "1:2:2-log",
+                                 "--half-width", "1e170", "--spacing", "1e169")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.count("projected gradient") == 2
+
+    def test_library_callers_keep_numpy_warnings(self):
+        with pytest.warns(RuntimeWarning), pytest.raises(solver.ConvergenceError):
+            solver.solve(1.0, half_width=1e-300)
+
     def test_unwritable_output(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--beta", "1",
                                "--output", "/nonexistent-dir/x.csv")
@@ -235,8 +267,7 @@ class TestSigmaAndProfile:
         code, out, _ = run_cli(capsys, "profile", "--beta", "1", "--dump", str(dump), *FAST_GRID)
         assert code == 0
         sigma = float(out.strip().splitlines()[1].split(",")[1])
-        result = solver.solve(1.0, solver.SolverConfig(half_width=10.0, spacing=0.05,
-                                                       grad_tol=1e-7))
+        result = solver.solve(1.0, half_width=10.0, spacing=0.05, grad_tol=1e-7)
         t, v, phi = np.loadtxt(dump, unpack=True)
         assert np.array_equal(t, result.grid.nodes)
         assert np.array_equal(v, result.pair.v) and np.array_equal(phi, result.pair.phi)
@@ -244,8 +275,7 @@ class TestSigmaAndProfile:
         assert solver.discrete_energy(loaded, 1.0).total == sigma == result.sigma
 
     def test_stderr_names_both_phases(self, capsys, tmp_path):
-        result = solver.solve(1.0, solver.SolverConfig(half_width=10.0, spacing=0.05,
-                                                       grad_tol=1e-7))
+        result = solver.solve(1.0, half_width=10.0, spacing=0.05, grad_tol=1e-7)
         steps = (f"{result.iterations - result.joint_steps} block + "
                  f"{result.joint_steps} joint Newton steps")
         _, _, err = run_cli(capsys, "sigma", "--beta", "1", *FAST_GRID)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from bectension import analytic, solver
 from bectension import gp_validation as gp
 
-COARSE = solver.SolverConfig(half_width=100.0, spacing=0.05)
+COARSE = dict(half_width=100.0, spacing=0.05)
 H = 0.05
 
 betas = st.floats(min_value=-2.0, max_value=4.0).map(lambda e: 10.0**e)
@@ -28,7 +28,7 @@ PROPERTY_SETTINGS = settings(max_examples=6, deadline=None, derandomize=True, da
 @PROPERTY_SETTINGS
 @given(beta=betas)
 def test_single_solve_invariants(beta):
-    result = solver.solve(beta, COARSE)
+    result = solver.solve(beta, **COARSE)
     bracket = analytic.sigma_bracket(beta)
     assert bracket.lower - H <= result.sigma <= bracket.upper + H
     assert solver.diagnostics(result.pair).phi_monotone
@@ -41,7 +41,7 @@ def test_sigma_nondecreasing_in_beta(draws):
     # The discrete energy of a fixed pair grows with beta, so the discrete
     # minimum does too; the slack is the energy accuracy of a solve stopped
     # at the default projected-gradient tolerance.
-    sigmas = [solver.solve(beta, COARSE).sigma for beta in sorted(draws)]
+    sigmas = [solver.solve(beta, **COARSE).sigma for beta in sorted(draws)]
     assert np.all(np.diff(sigmas) >= -1e-8)
 
 

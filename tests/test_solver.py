@@ -360,7 +360,7 @@ class TestSolvePhases:
         v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
         phi[0] = 0.5 * np.pi
         energy, fixed_v, fixed_phi = solver.half_line_problem(beta, grid)
-        block_tol = 0.25 * solver.SolverConfig().grad_tol
+        block_tol = 0.25 * solver.solve.__kwdefaults__["grad_tol"]
         phi, s_phi, value, _ = solver.projected_newton(
             phi, 0.0, np.pi, fixed_phi, energy.phi_block(v), block_tol, solver.BLOCK_STEPS)
         v, s_v, _, _ = solver.projected_newton(
@@ -420,20 +420,19 @@ class TestSolvePhases:
 
     def test_spent_budget_names_the_block_round(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_HALF_STEPS", 3)
-        cfg = solver.SolverConfig(half_width=5.0, spacing=0.05, grad_tol=1e-14)
         with pytest.raises(solver.ConvergenceError, match="block round spent") as err:
-            solver.solve(1.0, cfg)
+            solver.solve(1.0, half_width=5.0, spacing=0.05, grad_tol=1e-14)
         assert "3 block + 0 joint Newton steps" in str(err.value)
         assert err.value.result.joint_steps == 0
 
     def test_spent_budget_names_the_joint_phase(self, monkeypatch):
-        cfg = solver.SolverConfig(half_width=5.0, spacing=0.05, grad_tol=1e-12)
-        full = solver.solve(1.0, cfg)
+        cfg = dict(half_width=5.0, spacing=0.05, grad_tol=1e-12)
+        full = solver.solve(1.0, **cfg)
         block = full.iterations - full.joint_steps
         assert full.joint_steps >= 2
         monkeypatch.setattr(solver, "MAX_HALF_STEPS", block + 1)
         with pytest.raises(solver.ConvergenceError, match="joint Newton phase spent") as err:
-            solver.solve(1.0, cfg)
+            solver.solve(1.0, **cfg)
         result = err.value.result
         assert (result.iterations, result.joint_steps) == (block + 1, 1)
         assert f"{block} block + 1 joint Newton steps" in str(err.value)
@@ -474,27 +473,26 @@ class TestMinimize:
 
     def test_nonconvergence_carries_state(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_HALF_STEPS", 3)
-        cfg = solver.SolverConfig(half_width=5.0, spacing=0.05, grad_tol=1e-14)
         with pytest.raises(solver.ConvergenceError) as err:
-            solver.solve(1.0, cfg)
+            solver.solve(1.0, half_width=5.0, spacing=0.05, grad_tol=1e-14)
         result = err.value.result
         assert result.iterations == 3
         assert result.sigma > 0.0
 
     @pytest.mark.parametrize("beta, config", [
-        (1.0, solver.SolverConfig(half_width=0.5)),    # sigma 1.049 > upper 0.457
-        (1.0, solver.SolverConfig(half_width=1.0)),    # sigma 0.594
-        (1e4, solver.SolverConfig(spacing=0.5)),       # sigma 0.940 > upper 0.923
+        (1.0, dict(half_width=0.5)),    # sigma 1.049 > upper 0.457
+        (1.0, dict(half_width=1.0)),    # sigma 0.594
+        (1e4, dict(spacing=0.5)),       # sigma 0.940 > upper 0.923
     ])
     def test_sigma_outside_bracket_rejects_grid(self, beta, config):
         with pytest.raises(ValueError, match="bracket") as err:
-            solver.solve(beta, config)
+            solver.solve(beta, **config)
         message = str(err.value)
         assert f"beta={beta:g}" in message
         assert "half_width=" in message and "spacing=" in message
 
     def test_narrow_grid_inside_bracket_passes(self):
-        result = solver.solve(1.0, solver.SolverConfig(half_width=2.0))
+        result = solver.solve(1.0, half_width=2.0)
         br = analytic.sigma_bracket(1.0)
         assert br.lower <= result.sigma <= br.upper
 
@@ -858,8 +856,7 @@ class TestGridPolicy:
             assert solver.default_grid(beta).n_points % 2 == 1
 
     def test_grid_overrides(self):
-        cfg = solver.SolverConfig(half_width=5.0, spacing=0.05, grad_tol=1e-6)
-        res = solver.solve(1.0, cfg)
+        res = solver.solve(1.0, half_width=5.0, spacing=0.05, grad_tol=1e-6)
         assert res.grid.half_width == 5.0
         assert res.grid.n_points == 201
 
@@ -877,5 +874,9 @@ class TestGridPolicy:
                 Grid1D.from_spacing(bad, 0.1)
             with pytest.raises(ValueError, match="^spacing must"):
                 Grid1D.from_spacing(10.0, bad)
-            with pytest.raises(ValueError, match="grad_tol"):
-                solver.SolverConfig(grad_tol=bad)
+
+    @pytest.mark.parametrize("name", ["half_width", "spacing", "grad_tol"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_solve_rejects_each_bad_setting(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            solver.solve(1.0, **{name: bad})
