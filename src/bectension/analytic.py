@@ -191,14 +191,17 @@ class SigmaBracket:
 def sigma_bracket(beta: float) -> SigmaBracket:
     """Closed-form bracket lower <= sigma(beta) <= upper <= 2*sqrt(2)/3.
 
-    Lower: minimum over m of sqrt(2)(2/3 - m + m^3 (1/3 + sqrt(beta)/(2 sqrt(2)))),
-    attained at the cubic's stationary point.  Upper: the T- and m-optimized
-    plateau test-pair energy.
+    Lower: minimum over m of sqrt(2)(2/3 - m + a m^3), a = 1/3 + sqrt(beta)/(2 sqrt(2)),
+    attained at the cubic's stationary point m_c = 1/r, r = sqrt(3a) = sqrt(1 + x),
+    x = 3 sqrt(beta)/(2 sqrt(2)).  There a m_c^3 = m_c/3, so the minimum is
+    (2 sqrt(2)/3)(1 - 1/r) = (2 sqrt(2)/3) x/(r (1 + r)), evaluated in that
+    form: it does not cancel and is positive for every beta > 0.  Upper: the
+    T- and m-optimized plateau test-pair energy.
     """
     beta = _check_beta(beta)
-    a = 1.0 / 3.0 + math.sqrt(beta) / (2.0 * SQRT2)
-    m_c = 1.0 / math.sqrt(3.0 * a)  # always <= 1 since a >= 1/3
-    lower = SQRT2 * (2.0 / 3.0 - m_c + a * m_c**3)
+    x = 3.0 * math.sqrt(beta) / (2.0 * SQRT2)
+    r = math.sqrt(1.0 + x)
+    lower = SIGMA_INFINITY * x / (r * (1.0 + r))
     _, obj = minimize_plateau_objective(beta)
     upper = SQRT2 * (obj + 2.0 / 3.0)
     return SigmaBracket(lower=lower, upper=upper)

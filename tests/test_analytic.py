@@ -189,10 +189,11 @@ class TestSigmaBracket:
         vals = SQRT2 * (2.0 / 3.0 - ms + a * ms**3)
         assert analytic.sigma_bracket(beta).lower <= vals.min() + 1e-12
 
-    @pytest.mark.parametrize("beta", np.logspace(-4, 5, 10))
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-300, 1e-30, 1e-12,
+                                      *np.logspace(-4, 5, 10)])
     def test_ordering_and_ceiling(self, beta):
         br = analytic.sigma_bracket(beta)
-        assert br.lower <= br.upper
+        assert 0.0 < br.lower <= br.upper
         assert br.upper <= 2.0 * SQRT2 / 3.0 + 1e-12
 
     def test_upper_gap_rate(self):
