@@ -821,11 +821,10 @@ def solve(beta: float, *, half_width: float | None = None, spacing: float | None
     v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
     phi[0] = 0.5 * np.pi
     energy, fixed_v, fixed_phi = half_line_problem(beta, grid)
-    tol = grad_tol
-    v, phi, block_steps, pg = block_round(energy, v, phi, fixed_v, fixed_phi, tol)
+    v, phi, block_steps, pg = block_round(energy, v, phi, fixed_v, fixed_phi, grad_tol)
     joint_steps = 0
-    if pg > tol:
-        v, phi, joint_steps, pg = joint_newton(energy, v, phi, fixed_v, fixed_phi, tol,
+    if pg > grad_tol:
+        v, phi, joint_steps, pg = joint_newton(energy, v, phi, fixed_v, fixed_phi, grad_tol,
                                                MAX_HALF_STEPS - block_steps)
     steps = block_steps + joint_steps
     pair = ProfilePair(grid, np.concatenate([v[:0:-1], v]),
@@ -846,14 +845,14 @@ def solve(beta: float, *, half_width: float | None = None, spacing: float | None
         grid=grid,
         pair=pair,
     )
-    if pg > tol:
+    if pg > grad_tol:
         if steps < MAX_HALF_STEPS:
             why = "the joint Newton phase stalled at machine precision"
         else:
             phase = "joint Newton phase" if joint_steps else "block round"
             why = f"the {phase} spent the budget of {MAX_HALF_STEPS} steps"
         raise ConvergenceError(
-            f"projected gradient {pg:.3e} above tolerance {tol:.3e} after "
+            f"projected gradient {pg:.3e} above tolerance {grad_tol:.3e} after "
             f"{block_steps} block + {joint_steps} joint Newton steps: {why}",
             result,
         )
