@@ -13,9 +13,10 @@ exact for the discrete functional.
 The minimizer starts from the optimal plateau test pair and runs two phases
 of damped projected Newton, both driven by ``projected_newton``:
 
-* one round of the two convex blocks (``block_round``): phi at fixed v,
-  then v at fixed phi, each strictly convex after the classical
-  substitutions sin(phi) and v^2, each step one tridiagonal Cholesky;
+* one short round of the two convex blocks (``block_round``): at most six
+  steps on phi at fixed v, then one on v at fixed phi, each block strictly
+  convex after the classical substitutions sin(phi) and v^2, each step one
+  tridiagonal Cholesky;
 * Newton on the interleaved pair (v_0, phi_0, v_1, phi_1, ...)
   (``joint_newton``), whose Hessian is a band of half-width 3, one banded
   Cholesky per step (both ``band_solve``).  v^2 phi'^2 is not jointly
@@ -23,9 +24,11 @@ of damped projected Newton, both driven by ``projected_newton``:
 
 The block round is cheap and safe far from the minimizer; at weak coupling
 (beta <= 1e-3 on the default grids) it already meets the tolerance, and the
-joint phase does not run.  Every step backtracks along the projected arc,
-falling back to -P grad E when the Newton direction does not descend, so the
-energy never increases.
+joint phase does not run.  Elsewhere the block steps converge only linearly,
+so the round stops early and hands joint Newton its final energy and
+gradient, the floats the joint objective would compute there.  Every step
+backtracks along the projected arc, falling back to -P grad E when the
+Newton direction does not descend, so the energy never increases.
 
 The minimizer is even in v and odd about its crossing, phi(-t) = pi - phi(t),
 so ``solve`` minimizes on the half line [0, L] (``half_line_problem``) and
@@ -547,7 +550,7 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
 # the two Newton drivers: one block round, joint Newton
 # ---------------------------------------------------------------------------
 
-BLOCK_STEPS = 40          # Newton steps per block
+BLOCK_STEPS = 6           # Newton steps of the phi block
 MAX_HALF_STEPS = 200_000  # budget of Newton steps (block and joint) of one unit solve
 
 
@@ -555,9 +558,22 @@ def block_round(problem, v, phi, fixed_v, fixed_phi, tol):
     """One round of the two convex blocks: projected Newton on phi at fixed v,
     then on v at fixed phi (``problem.phi_block``, ``v_block``), in the boxes
     [0, pi] and [0, 1]; rows in ``fixed_phi`` and ``fixed_v`` never move.
-    Each block takes at most BLOCK_STEPS steps, both at most MAX_HALF_STEPS,
-    towards a quarter of ``tol``; the v block starts from the energy the phi
-    block stopped at.  Returns what ``joint_newton`` returns.
+    The phi block takes at most BLOCK_STEPS steps and the v block one, both
+    within MAX_HALF_STEPS, towards a quarter of ``tol``; the v block starts
+    from the energy the phi block stopped at.
+
+    Every default solve that ends in the round (beta <= 1e-3) takes at most
+    six phi steps and one v step, so those solves are the same floats as
+    with longer blocks.  Past that the block steps converge only linearly
+    (``tridiagonal_newton`` shifts the diagonal), and joint Newton takes
+    over sooner without taking more steps itself.
+
+    Returns ``(v, phi, steps, pg, value, gv, gphi)``: ``pg`` the stop norm
+    (``_projected_gradient_norm``), ``value`` the energy at the end and
+    ``gv``, ``gphi`` the gradient there, pinned rows zeroed.  ``value`` and
+    the interleaved gradient are the floats ``problem.joint()`` gives at the
+    interleaved pair, so ``joint_newton`` starts from them without
+    evaluating either again.
     """
     block_tol = 0.25 * tol
     phi_block = problem.phi_block(v)
@@ -565,25 +581,28 @@ def block_round(problem, v, phi, fixed_v, fixed_phi, tol):
                                             min(BLOCK_STEPS, MAX_HALF_STEPS))
     del phi_block  # one block's arrays alive at a time
     v_block = problem.v_block(phi)
-    v, s_v, _, gv = projected_newton(v, 0.0, 1.0, fixed_v, v_block, block_tol,
-                                     min(BLOCK_STEPS, MAX_HALF_STEPS - s_phi), value)
+    v, s_v, value, gv = projected_newton(v, 0.0, 1.0, fixed_v, v_block, block_tol,
+                                         min(1, MAX_HALF_STEPS - s_phi), value)
     if gv is None:
         gv = np.where(fixed_v, 0.0, v_block.gradient(v))
     del v_block
     gphi = np.where(fixed_phi, 0.0, problem.phi_block(v).gradient(phi))
-    return v, phi, s_phi + s_v, _projected_gradient_norm(v, phi, gv, gphi)
+    return v, phi, s_phi + s_v, _projected_gradient_norm(v, phi, gv, gphi), value, gv, gphi
 
 
 def _interleave(a, b):
     return np.column_stack((a, b)).ravel()
 
 
-def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps):
+def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps, value=None, g=None):
     """Projected Newton on the interleaved pair (v_0, phi_0, v_1, phi_1, ...),
     the objective ``problem.joint()``, in the box [0, 1] x [0, pi].  The stop
     norm is ``_projected_gradient_norm``: node 0 counts twice, so its rows stop
     at half of ``tol``; on a full line node 0 is pinned, and that norm is the
-    full-line one.  Returns (v, phi, steps, final projected-gradient norm).
+    full-line one.  ``value`` and ``g`` (interleaved, pinned rows zeroed) are
+    the energy and gradient at the start when the caller has them
+    (``block_round``).  Returns (v, phi, steps, final projected-gradient
+    norm).
     """
     n = v.size
     tols = np.full(2 * n, tol)
@@ -592,7 +611,7 @@ def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps):
     fixed = _interleave(fixed_v, fixed_phi)
     x, steps, _, g = projected_newton(_interleave(v, phi), 0.0,
                                       _interleave(np.ones(n), np.full(n, np.pi)),
-                                      fixed, objective, tols, max_steps)
+                                      fixed, objective, tols, max_steps, value, g)
     if g is None:
         g = np.where(fixed, 0.0, objective.gradient(x))
     v, phi = x[0::2], x[1::2]
@@ -821,11 +840,13 @@ def solve(beta: float, *, half_width: float | None = None, spacing: float | None
     v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
     phi[0] = 0.5 * np.pi
     energy, fixed_v, fixed_phi = half_line_problem(beta, grid)
-    v, phi, block_steps, pg = block_round(energy, v, phi, fixed_v, fixed_phi, grad_tol)
+    v, phi, block_steps, pg, value, gv, gphi = block_round(energy, v, phi, fixed_v, fixed_phi,
+                                                           grad_tol)
     joint_steps = 0
     if pg > grad_tol:
         v, phi, joint_steps, pg = joint_newton(energy, v, phi, fixed_v, fixed_phi, grad_tol,
-                                               MAX_HALF_STEPS - block_steps)
+                                               MAX_HALF_STEPS - block_steps, value,
+                                               _interleave(gv, gphi))
     steps = block_steps + joint_steps
     pair = ProfilePair(grid, np.concatenate([v[:0:-1], v]),
                        np.concatenate([np.pi - phi[:0:-1], phi]))

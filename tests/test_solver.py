@@ -364,7 +364,7 @@ class TestSolvePhases:
         phi, s_phi, value, _ = solver.projected_newton(
             phi, 0.0, np.pi, fixed_phi, energy.phi_block(v), block_tol, solver.BLOCK_STEPS)
         v, s_v, _, _ = solver.projected_newton(
-            v, 0.0, 1.0, fixed_v, energy.v_block(phi), block_tol, solver.BLOCK_STEPS, value)
+            v, 0.0, 1.0, fixed_v, energy.v_block(phi), block_tol, 1, value)
         np.testing.assert_array_equal(result.pair.v, np.concatenate([v[:0:-1], v]))
         np.testing.assert_array_equal(result.pair.phi,
                                       np.concatenate([np.pi - phi[:0:-1], phi]))
@@ -372,8 +372,9 @@ class TestSolvePhases:
         assert result.joint_steps == 0
 
     # full-grid node-passes of np.sin and np.cos per solve: 14, 50 and 40 when
-    # every block function took its own sin and cos and the report was unblocked
-    @pytest.mark.parametrize("beta, passes", [(1e-4, 10), (1.0, 32), (1e5, 23)])
+    # every block function took its own sin and cos and the report was
+    # unblocked, 10, 32 and 23 with blocks of up to 40 steps each
+    @pytest.mark.parametrize("beta, passes", [(1e-4, 10), (1.0, 20), (1e5, 21.5)])
     def test_sin_and_cos_once_per_iterate(self, monkeypatch, beta, passes):
         counted = []
         for name in ("sin", "cos"):
@@ -385,6 +386,36 @@ class TestSolvePhases:
         result = solver.solve(beta)
         monkeypatch.undo()
         assert sum(counted) / result.grid.n_points <= passes
+
+    @pytest.mark.parametrize("beta", [1e-2, 1.0, 1e2, 1e5])
+    def test_joint_newton_takes_over_after_a_short_round(self, solve_cache, beta):
+        result = solve_cache(beta)
+        assert result.iterations - result.joint_steps <= 6 + 1  # 11 to 17 with 40-step blocks
+        assert 0 < result.joint_steps <= 4
+        assert abs(result.sigma - solver.solve(beta, grad_tol=1e-11).sigma) <= 1e-11
+
+    @pytest.mark.parametrize("beta", [1.0, 1e2])
+    def test_tight_tolerance_converges(self, beta):
+        # with blocks of up to 40 steps both stalled at machine precision above 1e-12
+        result = solver.solve(beta, grad_tol=1e-12)
+        assert result.joint_steps > 0
+
+    @pytest.mark.parametrize("beta", [1e-4, 1.0])
+    def test_round_hands_joint_newton_its_exact_energy_and_gradient(self, beta):
+        grid = Grid1D.from_spacing(20.0, 0.05)
+        mid = grid.n_points // 2
+        start = solver.initial_pair(beta, grid)
+        v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
+        phi[0] = 0.5 * np.pi
+        energy, fixed_v, fixed_phi = solver.half_line_problem(beta, grid)
+        v, phi, _, _, value, gv, gphi = solver.block_round(energy, v, phi, fixed_v, fixed_phi,
+                                                           1e-8)
+        joint = energy.joint()
+        x = solver._interleave(v, phi)
+        assert value == joint.energy(x)
+        np.testing.assert_array_equal(
+            solver._interleave(gv, gphi),
+            np.where(solver._interleave(fixed_v, fixed_phi), 0.0, joint.gradient(x)))
 
     def test_weak_sigma_keeps_the_benchmark_reference(self, solve_cache):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -794,7 +825,7 @@ class TestHalfLine:
         v, phi = beta1_result.pair.v[mid:].copy(), beta1_result.pair.phi[mid:]
         v[0] -= 1e-3
         energy, fixed_v, fixed_phi = solver.half_line_problem(1.0, grid)
-        _, _, steps, pg = solver.block_round(energy, v, phi, fixed_v, fixed_phi, math.inf)
+        _, _, steps, pg, *_ = solver.block_round(energy, v, phi, fixed_v, fixed_phi, math.inf)
         assert steps == 0
         _, _, joint_steps, joint_pg = solver.joint_newton(energy, v, phi, fixed_v, fixed_phi,
                                                           math.inf, 1)
