@@ -240,25 +240,32 @@ class _MassConstraints:
     """c_k = sum m v^2 (1, cos(phi))_k - targets_k, m = h w eta^2, on the
     interleaved pair x = (v_0, phi_0, v_1, phi_1, ...): their values, their
     gradients as the columns of an (x.size, 2) array, and lam1 hess(c1) +
-    lam2 hess(c2) added to a band in LAPACK lower storage."""
+    lam2 hess(c2) added to a band in LAPACK lower storage.  With ``energy``,
+    the sin and cos of a frozen x come from its per-iterate memo
+    (``PairEnergy._angle``), which that energy's joint objective shares."""
 
     mass: np.ndarray
     targets: np.ndarray  # (t1, t2)
+    energy: solver.PairEnergy | None = None
+
+    def _angle(self, x) -> solver._Angle:
+        phi = x[1::2]
+        return solver._Angle(phi) if self.energy is None else self.energy._angle(x, phi)
 
     def values(self, x) -> np.ndarray:
         mv2 = self.mass * x[0::2] ** 2
-        return np.array([np.sum(mv2), np.sum(mv2 * np.cos(x[1::2]))]) - self.targets
+        return np.array([np.sum(mv2), np.sum(mv2 * self._angle(x).cos)]) - self.targets
 
     def gradients(self, x) -> np.ndarray:
-        mv, phi = self.mass * x[0::2], x[1::2]
-        grad2 = solver._interleave(2.0 * mv * np.cos(phi), -mv * x[0::2] * np.sin(phi))
+        mv, angle = self.mass * x[0::2], self._angle(x)
+        grad2 = solver._interleave(2.0 * mv * angle.cos, -mv * x[0::2] * angle.sin)
         return np.column_stack((solver._interleave(2.0 * mv, np.zeros(mv.size)), grad2))
 
     def add_hessian(self, ab, x, lam):
-        mv, phi = self.mass * x[0::2], x[1::2]
-        ab[0, 0::2] += 2.0 * self.mass * (lam[0] + lam[1] * np.cos(phi))
-        ab[0, 1::2] -= lam[1] * mv * x[0::2] * np.cos(phi)
-        ab[1, 0::2] -= 2.0 * lam[1] * mv * np.sin(phi)
+        mv, angle = self.mass * x[0::2], self._angle(x)
+        ab[0, 0::2] += 2.0 * self.mass * (lam[0] + lam[1] * angle.cos)
+        ab[0, 1::2] -= lam[1] * mv * x[0::2] * angle.cos
+        ab[1, 0::2] -= 2.0 * lam[1] * mv * angle.sin
         return ab
 
 
@@ -380,9 +387,9 @@ def minimize_weighted_pair(
     outside = np.r_[mass[:win.start], np.zeros(free.size + 2), mass[win.stop:]]
     exterior = _MassConstraints(outside, (0.0, 0.0)).values(solver._interleave(v, phi))
 
+    energy = _weighted_energy(eta, eps, beta, scale=eps, window=win)
     pair, steps, pg, why = _constrained_newton(
-        _weighted_energy(eta, eps, beta, scale=eps, window=win).joint(),
-        _MassConstraints(mass[win], targets - exterior),
+        energy.joint(), _MassConstraints(mass[win], targets - exterior, energy),
         solver._interleave(v[win], phi[win]), solver._interleave(fixed, fixed))
     v[win], phi[win] = pair[0::2], pair[1::2]
 
