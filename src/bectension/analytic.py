@@ -141,11 +141,15 @@ def minimize_plateau_objective(beta: float) -> tuple[float, float]:
 
     Unimodality of the objective is not guaranteed, so a 256-point grid scan
     (one array evaluation) picks the best cell and golden-section search
-    descends inside it.
+    descends inside it.  From beta of about 1e43 the best depth lies below
+    the search's 1e-10 width, where the search ends on a positive objective;
+    the scan's first point, m = 0 with objective exactly 0 (the wall 2
+    sqrt(2)/3), is returned instead.
     """
     beta = _check_beta(beta)
     ms = np.linspace(0.0, 1.0, 257)
-    k = int(np.argmin(_plateau_objective(ms, beta)))
+    scan = _plateau_objective(ms, beta)
+    k = int(np.argmin(scan))
     lo = ms[max(k - 1, 0)]
     hi = ms[min(k + 1, len(ms) - 1)]
 
@@ -165,7 +169,10 @@ def minimize_plateau_objective(beta: float) -> tuple[float, float]:
             d = a + invphi * (b - a)
             fd = plateau_objective(d, beta)
     m_best = 0.5 * (a + b)
-    return m_best, plateau_objective(m_best, beta)
+    f_best = plateau_objective(m_best, beta)
+    if k == 0 and f_best > scan[0]:
+        return ms[0], float(scan[0])
+    return m_best, f_best
 
 
 def dip_floor(beta: float) -> float:
@@ -196,15 +203,16 @@ def sigma_bracket(beta: float) -> SigmaBracket:
     x = 3 sqrt(beta)/(2 sqrt(2)).  There a m_c^3 = m_c/3, so the minimum is
     (2 sqrt(2)/3)(1 - 1/r) = (2 sqrt(2)/3) x/(r (1 + r)), evaluated in that
     form: it does not cancel and is positive for every beta > 0.  Upper: the
-    T- and m-optimized plateau test-pair energy.
+    T- and m-optimized plateau test-pair energy.  Both tend to 2 sqrt(2)/3;
+    past beta of about 1e62 rounding can put the lower one above the upper
+    one, and it is then lowered to it.
     """
     beta = _check_beta(beta)
     x = 3.0 * math.sqrt(beta) / (2.0 * SQRT2)
     r = math.sqrt(1.0 + x)
-    lower = SIGMA_INFINITY * x / (r * (1.0 + r))
     _, obj = minimize_plateau_objective(beta)
     upper = SQRT2 * (obj + 2.0 / 3.0)
-    return SigmaBracket(lower=lower, upper=upper)
+    return SigmaBracket(lower=min(SIGMA_INFINITY * x / (r * (1.0 + r)), upper), upper=upper)
 
 
 def plateau_profiles(m: float, T: float, t) -> tuple[np.ndarray, np.ndarray]:

@@ -196,6 +196,14 @@ class TestSigmaBracket:
         assert 0.0 < br.lower <= br.upper
         assert br.upper <= 2.0 * SQRT2 / 3.0 + 1e-12
 
+    def test_huge_beta_stays_below_the_ceiling(self):
+        # from beta = 1e43 the best depth lies below the golden-section width
+        # and the scan's grid point m = 0 gives the bound; from about 1e62 the
+        # two bounds meet up to rounding
+        for k in range(40, 101):
+            br = analytic.sigma_bracket(10.0 ** k)
+            assert 0.0 < br.lower <= br.upper <= analytic.SIGMA_INFINITY
+
     def test_upper_gap_rate(self):
         betas = np.logspace(2, 6, 9)
         gaps = [2.0 * SQRT2 / 3.0 - analytic.sigma_bracket(b).upper for b in betas]
