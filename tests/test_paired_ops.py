@@ -1,8 +1,16 @@
+import importlib.util
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("paired_ops", ROOT / "tools" / "paired_ops.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tree_against_itself_matches():
@@ -23,3 +31,23 @@ def test_unknown_operation_is_a_usage_error():
                            str(ROOT), "--ops", "tf9"], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 2 and "unknown operations ['tf9']" in proc.stderr
+
+
+def test_column_differences_name_each_differing_column():
+    base = ("beta,sigma,tag,iters\n"
+            "1,0.5,a,20\n"
+            "10,0.25,b,18\n"
+            "100,0.75,c,16\n")
+    change = ("beta,sigma,tag,iters\n"
+              "1,0.5000000001,a,10\n"
+              "10,0.25,x,18\n"
+              "100,0.7500000003,c,11\n")
+    assert load_tool().column_differences(base, change) == [
+        "sigma: max relative difference 4e-10", "tag: b -> x", "iters: 20 -> 10, 16 -> 11"]
+
+
+def test_column_differences_of_unlike_tables():
+    tool = load_tool()
+    assert tool.column_differences("a,b\n1,2\n", "a,b\n1,2\n") == []
+    assert tool.column_differences("a,b\n1,2\n", "a,c\n1,2\n") == ["header or row count differs"]
+    assert tool.column_differences("a\nnan\n", "a\n1.5\n") == ["a: nan -> 1.5"]

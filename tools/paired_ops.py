@@ -10,18 +10,23 @@ operations are the seed-0 command lines of ``perfbench/workloads.py`` read
 from BASE (by default all eight of the three workloads).  Per operation the
 table gives each tree's min and median seconds, the median of the per-round
 ratios CHANGE/BASE, and whether the two trees wrote the same stdout (and the
-same profile dump) in every round.  A pair of back-to-back runs shares the
-machine's load, so its ratio is steadier than a ratio of two medians from
-separate processes.  Exit code 1 when an output differs.
+same profile dump) in every round.  Below the table, each operation whose
+stdout differs lists the CSV columns that differ: the old -> new values of
+an integer column such as ``iters``, else the largest relative difference.
+A pair of back-to-back runs shares the machine's load, so its ratio is
+steadier than a ratio of two medians from separate processes.  Exit code 1
+when an output differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import filecmp
 import importlib.util
 import io
+import math
 import os
 import statistics
 import sys
@@ -64,6 +69,38 @@ def run(cli, argv, dump):
     return seconds, out.getvalue()
 
 
+def _all(parse, texts):
+    """``parse`` of every text, or None if one of them does not parse."""
+    try:
+        return [parse(t) for t in texts]
+    except ValueError:
+        return None
+
+
+def column_differences(base: str, change: str) -> list[str]:
+    """One line per column that differs between two CSV texts with the same
+    header and row count.  An integer column (such as ``iters``) lists
+    ``a -> b`` per differing row, and so does a column of other text; a
+    column of finite numbers gives its largest relative difference
+    |b - a| / max(|a|, |b|)."""
+    old, new = (list(csv.reader(io.StringIO(text))) for text in (base, change))
+    if not old or not new or old[0] != new[0] or len(old) != len(new):
+        return ["header or row count differs"]
+    lines = []
+    for j, name in enumerate(old[0]):
+        pairs = [(a[j], b[j]) for a, b in zip(old[1:], new[1:]) if a[j] != b[j]]
+        if not pairs:
+            continue
+        texts = [t for pair in pairs for t in pair]
+        floats = _all(float, texts)
+        if _all(int, texts) is None and floats and all(map(math.isfinite, floats)):
+            worst = max(abs(b - a) / max(abs(a), abs(b)) for a, b in zip(floats[::2], floats[1::2]))
+            lines.append(f"{name}: max relative difference {worst:.3g}")
+        else:
+            lines.append(f"{name}: " + ", ".join(f"{a} -> {b}" for a, b in pairs))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base")
@@ -85,6 +122,7 @@ def main(argv=None) -> int:
 
     times = {(name, tree): [] for name, _ in ops for tree in clis}
     same = dict.fromkeys((name for name, _ in ops), True)
+    differing = {}  # name -> (base stdout, change stdout, dumps equal) of the first differing round
     with tempfile.TemporaryDirectory() as tmp:
         for rnd in range(args.rounds):
             order = list(clis) if rnd % 2 == 0 else list(clis)[::-1]
@@ -95,8 +133,10 @@ def main(argv=None) -> int:
                     seconds, outputs[tree] = run(clis[tree], op_argv, dump)
                     times[name, tree].append(seconds)
                 dumps = [os.path.join(tmp, f"{tree}.txt") for tree in clis]
-                same[name] &= outputs["base"] == outputs["change"] and (
-                    "{dump}" not in op_argv or filecmp.cmp(*dumps, shallow=False))
+                dumps_equal = "{dump}" not in op_argv or filecmp.cmp(*dumps, shallow=False)
+                if outputs["base"] != outputs["change"] or not dumps_equal:
+                    same[name] = False
+                    differing.setdefault(name, (outputs["base"], outputs["change"], dumps_equal))
 
     print(f"{args.rounds} rounds; seconds min / median; ratio = median of change/base per round")
     print(f"{'operation':<14}{'base':>19}{'change':>19}{'ratio':>8}  output")
@@ -106,6 +146,11 @@ def main(argv=None) -> int:
         print(f"{name:<14}{min(base):9.4f}{statistics.median(base):10.4f}"
               f"{min(change):9.4f}{statistics.median(change):10.4f}{ratio:8.3f}  "
               f"{'same' if same[name] else 'DIFFERS'}")
+    for name, (base, change, dumps_equal) in differing.items():
+        print(f"{name} differs:")
+        for line in (column_differences(base, change) if base != change else []) + (
+                [] if dumps_equal else ["profile dump"]):
+            print(f"  {line}")
     return 0 if all(same.values()) else 1
 
 
