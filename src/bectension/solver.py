@@ -840,13 +840,14 @@ def solve(beta: float, *, half_width: float | None = None, spacing: float | None
     v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
     phi[0] = 0.5 * np.pi
     energy, fixed_v, fixed_phi = half_line_problem(beta, grid)
-    v, phi, block_steps, pg, value, gv, gphi = block_round(energy, v, phi, fixed_v, fixed_phi,
-                                                           grad_tol)
+    v, phi, block_steps, pg, value, *grad = block_round(energy, v, phi, fixed_v, fixed_phi,
+                                                        grad_tol)
     joint_steps = 0
     if pg > grad_tol:
+        grad = _interleave(*grad)  # one copy alive in the joint phase
         v, phi, joint_steps, pg = joint_newton(energy, v, phi, fixed_v, fixed_phi, grad_tol,
-                                               MAX_HALF_STEPS - block_steps, value,
-                                               _interleave(gv, gphi))
+                                               MAX_HALF_STEPS - block_steps, value, grad)
+    del grad  # before the full-grid arrays of the report
     steps = block_steps + joint_steps
     pair = ProfilePair(grid, np.concatenate([v[:0:-1], v]),
                        np.concatenate([np.pi - phi[:0:-1], phi]))
