@@ -51,3 +51,4 @@ def test_column_differences_of_unlike_tables():
     assert tool.column_differences("a,b\n1,2\n", "a,b\n1,2\n") == []
     assert tool.column_differences("a,b\n1,2\n", "a,c\n1,2\n") == ["header or row count differs"]
     assert tool.column_differences("a\nnan\n", "a\n1.5\n") == ["a: nan -> 1.5"]
+    assert tool.column_differences("a\n0\n", "a\n0.0\n") == ["a: max relative difference 0"]

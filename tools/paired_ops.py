@@ -94,7 +94,8 @@ def column_differences(base: str, change: str) -> list[str]:
         texts = [t for pair in pairs for t in pair]
         floats = _all(float, texts)
         if _all(int, texts) is None and floats and all(map(math.isfinite, floats)):
-            worst = max(abs(b - a) / max(abs(a), abs(b)) for a, b in zip(floats[::2], floats[1::2]))
+            worst = max(abs(b - a) / max(abs(a), abs(b)) if a != b else 0.0  # "0" -> "0.0"
+                        for a, b in zip(floats[::2], floats[1::2]))
             lines.append(f"{name}: max relative difference {worst:.3g}")
         else:
             lines.append(f"{name}: " + ", ".join(f"{a} -> {b}" for a, b in pairs))
@@ -121,7 +122,6 @@ def main(argv=None) -> int:
         ops = [op for op in ops if op[0] in wanted]
 
     times = {(name, tree): [] for name, _ in ops for tree in clis}
-    same = dict.fromkeys((name for name, _ in ops), True)
     differing = {}  # name -> (base stdout, change stdout, dumps equal) of the first differing round
     with tempfile.TemporaryDirectory() as tmp:
         for rnd in range(args.rounds):
@@ -135,7 +135,6 @@ def main(argv=None) -> int:
                 dumps = [os.path.join(tmp, f"{tree}.txt") for tree in clis]
                 dumps_equal = "{dump}" not in op_argv or filecmp.cmp(*dumps, shallow=False)
                 if outputs["base"] != outputs["change"] or not dumps_equal:
-                    same[name] = False
                     differing.setdefault(name, (outputs["base"], outputs["change"], dumps_equal))
 
     print(f"{args.rounds} rounds; seconds min / median; ratio = median of change/base per round")
@@ -145,13 +144,13 @@ def main(argv=None) -> int:
         ratio = statistics.median(c / b for b, c in zip(base, change))
         print(f"{name:<14}{min(base):9.4f}{statistics.median(base):10.4f}"
               f"{min(change):9.4f}{statistics.median(change):10.4f}{ratio:8.3f}  "
-              f"{'same' if same[name] else 'DIFFERS'}")
+              f"{'DIFFERS' if name in differing else 'same'}")
     for name, (base, change, dumps_equal) in differing.items():
         print(f"{name} differs:")
         for line in (column_differences(base, change) if base != change else []) + (
                 [] if dumps_equal else ["profile dump"]):
             print(f"  {line}")
-    return 0 if all(same.values()) else 1
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
