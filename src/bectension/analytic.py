@@ -1,10 +1,12 @@
 """Closed-form transition profiles, test-pair energies and rigorous bounds.
 
-Everything here is an explicit formula or a 1D scalar search; no PDE solves.
-The central objects are the half-line transition cost of the scalar
-phase-transition energy, the plateau test pair (v dips to a constant m on a
-plateau of half-width T while phi ramps linearly across it), and the bracket
-[lower, upper] that pins the surface tension for every coupling ratio beta.
+Everything here is an explicit formula, a bisection or an array search in
+one variable; no PDE solves.  The central objects are the half-line
+transition cost of the scalar phase-transition energy, the plateau test pair
+(v dips to a constant m on a plateau of half-width T while phi ramps
+linearly across it), and the bracket [lower, upper] that pins the surface
+tension for every coupling ratio beta: from (pi/(4 sqrt(2))) sqrt(beta) at
+weak coupling to the wall 2 sqrt(2)/3 at strong coupling.
 """
 
 from __future__ import annotations
@@ -117,74 +119,54 @@ def optimal_plateau_halfwidth(m: float, beta: float) -> float:
     """
     m = _check_depth(m)
     beta = _check_beta(beta)
-    if m == 0.0:
-        return 0.0
-    return m * math.pi / (2.0 * SQRT2 * math.sqrt((1.0 - m**2) ** 2 + beta * m**4 / 4.0))
+    return m * math.pi / (2.0 * SQRT2 * math.hypot(1.0 - m**2, 0.5 * math.sqrt(beta) * m**2))
 
 
 def plateau_objective(m: float, beta: float) -> float:
-    """Depth objective (m^3/3 - m) + (pi/4) m sqrt((1-m^2)^2 + beta m^4/4).
+    """Depth objective (m-1)^2 (m+2)/3 + (pi/4) m sqrt((1-m^2)^2 + beta m^4/4).
 
-    The T-optimized test-pair energy is sqrt(2) * (plateau_objective + 2/3),
-    so minimizing this over m in [0,1] gives the best plateau test pair.
+    The T-optimized test-pair energy is sqrt(2) * plateau_objective, so
+    minimizing this over m in [0,1] gives the best plateau test pair.  Exact
+    at both ends: 2/3 at m=0 (the wall 2 sqrt(2)/3) and pi sqrt(beta)/8 at
+    m=1; the root is a ``hypot``, so beta m^4 never underflows.
     """
     return float(_plateau_objective(_check_depth(m), _check_beta(beta)))
 
 
 def _plateau_objective(m, beta):
     """``plateau_objective`` unchecked, at one depth or elementwise over an array."""
-    return (m**3 / 3.0 - m) + 0.25 * math.pi * m * np.sqrt((1.0 - m**2) ** 2 + beta * m**4 / 4.0)
+    return ((m - 1.0) ** 2 * (m + 2.0) / 3.0
+            + 0.25 * math.pi * m * np.hypot(1.0 - m**2, 0.5 * math.sqrt(beta) * m**2))
 
 
 def minimize_plateau_objective(beta: float) -> tuple[float, float]:
     """Best plateau depth for the given beta: returns (m, objective value).
 
-    Unimodality of the objective is not guaranteed, so a 256-point grid scan
-    (one array evaluation) picks the best cell and golden-section search
-    descends inside it.  From beta of about 1e43 the best depth lies below
-    the search's 1e-10 width, where the search ends on a positive objective;
-    the scan's first point, m = 0 with objective exactly 0 (the wall 2
-    sqrt(2)/3), is returned instead.
+    Unimodality is not guaranteed, so each pass scans 257 depths as one
+    array and keeps the two cells around the best, until the cell is at most
+    1e-10 wide.  An end of [0, 1] stays in every scan while the best depth
+    sits on it, so the value never lies above the objective at either end.
     """
     beta = _check_beta(beta)
-    ms = np.linspace(0.0, 1.0, 257)
-    scan = _plateau_objective(ms, beta)
-    k = int(np.argmin(scan))
-    lo = ms[max(k - 1, 0)]
-    hi = ms[min(k + 1, len(ms) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = plateau_objective(c, beta)
-    fd = plateau_objective(d, beta)
-    while b - a > 1e-10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = plateau_objective(c, beta)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = plateau_objective(d, beta)
-    m_best = 0.5 * (a + b)
-    f_best = plateau_objective(m_best, beta)
-    if k == 0 and f_best > scan[0]:
-        return ms[0], float(scan[0])
-    return m_best, f_best
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        ms = np.linspace(lo, hi, 257)
+        scan = _plateau_objective(ms, beta)
+        k = int(np.argmin(scan))
+        lo, hi = ms[max(k - 1, 0)], ms[min(k + 1, 256)]
+    return float(ms[k]), float(scan[k])
 
 
 def dip_floor(beta: float) -> float:
     """Depth below which no profile can be optimal at this beta.
 
-    The unique root in (0,1) of m^3/3 - m = min plateau objective; minimizers
-    of the transition problem satisfy inf v >= this value.
+    The depth whose transition cost equals the upper bound of
+    ``sigma_bracket``: minimizers satisfy inf v >= this root of
+    (m-1)^2 (m+2)/3 = min plateau objective, i.e. of 3m - m^3 = 2 - 3 min.
+    Below beta of about 8.9e-33, 2 - 3 min rounds to 2 and the floor to
+    cubic_root(2) = 1 - 1.1e-16.
     """
-    beta = _check_beta(beta)
-    _, target = minimize_plateau_objective(beta)
-    # -2/3 < target < 0, so -3 target lies in (0, 2) and the root in (0, 1).
-    return cubic_root(-3.0 * target)
+    return cubic_root(2.0 - 3.0 * minimize_plateau_objective(beta)[1])
 
 
 @dataclass(frozen=True)
@@ -203,15 +185,16 @@ def sigma_bracket(beta: float) -> SigmaBracket:
     x = 3 sqrt(beta)/(2 sqrt(2)).  There a m_c^3 = m_c/3, so the minimum is
     (2 sqrt(2)/3)(1 - 1/r) = (2 sqrt(2)/3) x/(r (1 + r)), evaluated in that
     form: it does not cancel and is positive for every beta > 0.  Upper: the
-    T- and m-optimized plateau test-pair energy.  Both tend to 2 sqrt(2)/3;
-    past beta of about 1e62 rounding can put the lower one above the upper
-    one, and it is then lowered to it.
+    T- and m-optimized plateau test-pair energy, sqrt(2) times the least
+    ``plateau_objective``, with no cancellation either: it is
+    (pi/(4 sqrt(2))) sqrt(beta) to 1e-12 below beta = 1e-12.  Both tend to
+    2 sqrt(2)/3 as beta grows; past beta of about 1e62 rounding can put the
+    lower one above the upper one, and it is then lowered to it.
     """
     beta = _check_beta(beta)
     x = 3.0 * math.sqrt(beta) / (2.0 * SQRT2)
     r = math.sqrt(1.0 + x)
-    _, obj = minimize_plateau_objective(beta)
-    upper = SQRT2 * (obj + 2.0 / 3.0)
+    upper = SQRT2 * minimize_plateau_objective(beta)[1]
     return SigmaBracket(lower=min(SIGMA_INFINITY * x / (r * (1.0 + r)), upper), upper=upper)
 
 

@@ -296,8 +296,10 @@ def _constrained_newton(objective, constraints, x, fixed):
     augmented Lagrangian at the new multipliers, weight 10; where the step
     does not descend on it (near a saddle: beta = 1e4, uneven mass split),
     the free diagonal is shifted by 1e-5, 1e-4, ... times its largest entry.
-    Returns ``(x, steps, pg, why)``: pg the max-norm of the projected
-    gradient of the Lagrangian, why None on convergence, else the reason.
+    The line search stalls when the merit rises by more than its rounding
+    (``solver.rounding``).  Returns ``(x, steps, pg, why)``: pg the max-norm
+    of the projected gradient of the Lagrangian, why None on convergence,
+    else the reason.
     """
     x = solver._frozen(x)  # so the energy, gradient and curvature at x share one sin and cos
     hi = np.tile([np.inf, np.pi], x.size // 2)
@@ -334,7 +336,7 @@ def _constrained_newton(objective, constraints, x, fixed):
         lam = lam + dlam
         value = merit(x)
         x_new, value_new = solver.arc_search(merit, value, x, d, gm, 0.0, hi, fixed)
-        if not value_new <= value:
+        if not value_new <= value + solver.rounding(value):
             return x, steps, pg, "the line search stalled"
         x = x_new
 

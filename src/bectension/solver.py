@@ -28,7 +28,8 @@ joint phase does not run.  Elsewhere the block steps converge only linearly,
 so the round stops early and hands joint Newton its final energy and
 gradient, the floats the joint objective would compute there.  Every step
 backtracks along the projected arc, falling back to -P grad E when the
-Newton direction does not descend, so the energy never increases.
+Newton direction does not descend, so the energy never rises by more than
+its rounding (``rounding``, 4 ulp).
 
 The minimizer is even in v and odd about its crossing, phi(-t) = pi - phi(t),
 so ``solve`` minimizes on the half line [0, L] (``half_line_problem``) and
@@ -478,23 +479,33 @@ def dot(a, b) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def rounding(value: float) -> float:
+    """4 ulp(|value|), the rounding of an energy near ``value``."""
+    return 4.0 * math.ulp(value)
+
+
 def arc_search(merit, value, x, d, g, lo, hi, fixed):
     """Backtrack along the projected arc P(x + alpha d), alpha = 1, 1/2, ...
     down to 1e-16, until ``merit`` passes the Armijo test against ``value``,
     its value at ``x``; -P ``g``, the projected gradient of the merit,
-    replaces a ``d`` that does not descend.  Returns the last trial point and
-    its merit."""
+    replaces a ``d`` that does not descend.  Where the predicted decrease
+    -alpha g.d is below the ``rounding`` of ``value``, rounding decides the
+    Armijo test, so a merit at most that rounding above ``value`` passes
+    instead (the approximate Wolfe test of Hager and Zhang, SIAM J. Optim.
+    16, 2005).  Returns the last trial point and its merit."""
     slope = dot(g, d)
     if not np.isfinite(slope) or slope >= 0.0:
         d = -_projected(x, g, lo, hi)
         slope = dot(g, d)
+    noise = rounding(value)
     alpha = 1.0
     while True:
         x_new = np.clip(x + alpha * d, lo, hi)
         x_new[fixed] = x[fixed]
         x_new = _frozen(x_new)
         value_new = merit(x_new)
-        if value_new <= value + 1e-4 * alpha * slope or alpha < 1e-16:
+        if (value_new <= value + 1e-4 * alpha * slope or alpha < 1e-16
+                or -alpha * slope <= noise and value_new <= value + noise):
             return x_new, value_new
         alpha *= 0.5
 
@@ -509,11 +520,12 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
     stops when every projected-gradient entry is within its ``tol``.  Rows
     in ``fixed`` never move.  Nodes resting on a box bound stay in the
     system so one step can detach whole flat regions; ``arc_search`` takes
-    care of any step component leaving the box.  The energy never increases.
-    The loop stops as a stall at machine precision when no step length
-    lowers the energy, or when a step left the energy unchanged and the
-    max-norm of the projected gradient did not fall below its least value
-    since the energy last fell.
+    care of any step component leaving the box.  No step raises the energy
+    by more than its ``rounding``, and only where rounding decides the line
+    search.  The loop stops as a stall at machine precision when no step
+    length keeps the energy within its rounding, or when a step did not
+    lower the energy and the max-norm of the projected gradient did not
+    fall below its least value since the energy last fell.
 
     ``value`` and ``g`` (pinned rows zeroed) are the energy and gradient at
     ``x`` when the caller has them.  Returns ``(x, steps, value, g)``: ``g``
@@ -539,9 +551,9 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
 
         d = objective.newton(objective.curvature, x, fixed, g)
         x_new, value_new = arc_search(objective.energy, value, x, d, g, lo, hi, fixed)
-        if value_new > value:  # stalled at machine precision; stay monotone
+        if not value_new <= value + rounding(value):  # stalled at machine precision
             break
-        least = min(least, norm) if value_new == value else math.inf
+        least = min(least, norm) if value_new >= value else math.inf
         x, value, g = x_new, value_new, None
     return x, steps, value, g
 

@@ -102,10 +102,16 @@ class TestPlateauHalfwidth:
             math.pi / (2.0 * SQRT2), rel=1e-15
         )
 
+    def test_unit_depth_at_the_least_beta(self):
+        # beta m^4 / 4 underflows to 0 at beta = 5e-324; the root as a hypot does not
+        T = analytic.optimal_plateau_halfwidth(1.0, 5e-324)
+        assert T == pytest.approx(math.pi / (SQRT2 * math.sqrt(5e-324)), rel=1e-15)
+
 
 class TestPlateauObjective:
     def test_origin(self):
-        assert analytic.plateau_objective(0.0, 1.0) == 0.0
+        # the wall: sqrt(2) * 2/3 = 2 sqrt(2)/3, exactly
+        assert analytic.plateau_objective(0.0, 1.0) == 2.0 / 3.0
 
     def test_slope_at_origin(self):
         h = 1e-6
@@ -114,15 +120,16 @@ class TestPlateauObjective:
         assert fd < 0.0
 
     def test_unit_depth(self):
-        assert analytic.plateau_objective(1.0, 4.0) == pytest.approx(
-            math.pi / 4.0 - 2.0 / 3.0, rel=1e-14
-        )
+        # pi sqrt(beta)/8, exactly up to the rounding of the factors
+        assert analytic.plateau_objective(1.0, 4.0) == pytest.approx(math.pi / 4.0, rel=1e-15)
+        assert analytic.plateau_objective(1.0, 1e-300) == pytest.approx(
+            math.pi * 1e-150 / 8.0, rel=1e-15)
 
     @pytest.mark.parametrize("beta", [1e-3, 0.1, 1.0, 10.0, 1e4])
     def test_minimizer_beats_grid_and_is_negative(self, beta):
         m_bar, val = analytic.minimize_plateau_objective(beta)
         assert 0.0 < m_bar < 1.0
-        assert -2.0 / 3.0 < val < 0.0
+        assert 0.0 < val < 2.0 / 3.0  # strictly below the wall value at m = 0
         grid = np.linspace(0.0, 1.0, 10_001)
         grid_vals = [analytic.plateau_objective(m, beta) for m in grid]
         assert val <= min(grid_vals) + 1e-12
@@ -163,7 +170,7 @@ class TestDipFloor:
         m = analytic.dip_floor(beta)
         _, target = analytic.minimize_plateau_objective(beta)
         assert 0.0 < m < 1.0
-        assert abs(m**3 / 3.0 - m - target) < 1e-10
+        assert abs(m**3 / 3.0 - m - (target - 2.0 / 3.0)) < 1e-10
 
     def test_decreasing_in_beta(self):
         assert analytic.dip_floor(100.0) < analytic.dip_floor(1.0)
@@ -197,12 +204,19 @@ class TestSigmaBracket:
         assert br.upper <= 2.0 * SQRT2 / 3.0 + 1e-12
 
     def test_huge_beta_stays_below_the_ceiling(self):
-        # from beta = 1e43 the best depth lies below the golden-section width
-        # and the scan's grid point m = 0 gives the bound; from about 1e62 the
-        # two bounds meet up to rounding
+        # from beta = 1e43 the best depth shrinks towards the end m = 0, which
+        # stays in every scan; from about 1e62 the two bounds meet up to rounding
         for k in range(40, 101):
             br = analytic.sigma_bracket(10.0 ** k)
             assert 0.0 < br.lower <= br.upper <= analytic.SIGMA_INFINITY
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-300, 1e-30, 1e-12])
+    def test_weak_upper_is_the_unit_depth_bound(self, beta):
+        # the plateau bound at m = 1 is (pi/(4 sqrt(2))) sqrt(beta); the
+        # objective is evaluated without cancelling against 2/3
+        br = analytic.sigma_bracket(beta)
+        assert br.upper == pytest.approx(math.pi / (4.0 * SQRT2) * math.sqrt(beta), rel=1e-12)
+        assert 0.0 < br.lower <= br.upper
 
     def test_upper_gap_rate(self):
         betas = np.logspace(2, 6, 9)

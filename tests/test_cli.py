@@ -54,6 +54,15 @@ class TestBounds:
         br = analytic.sigma_bracket(3.7)
         assert float(row[1]) == br.lower and float(row[2]) == br.upper
 
+    def test_weak_upper_is_the_unit_depth_bound(self, capsys):
+        # the bound printed at beta = 1e-300 is (pi/(4 sqrt(2))) sqrt(beta),
+        # not a value left over from cancelling against the wall
+        code, out, _ = run_cli(capsys, "bounds", "--beta", "1e-300")
+        assert code == 0
+        beta, lower, upper = (float(tok) for tok in out.strip().splitlines()[1].split(","))
+        assert upper == pytest.approx(math.pi / (4.0 * math.sqrt(2.0)) * 1e-150, rel=1e-12)
+        assert 0.0 < lower <= upper
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
         _, out, _ = run_cli(capsys, "bounds", "--beta", "3.7", "--format", fmt)

@@ -43,7 +43,7 @@ def test_column_differences_name_each_differing_column():
               "10,0.25,x,18\n"
               "100,0.7500000003,c,11\n")
     assert load_tool().column_differences(base, change) == [
-        "sigma: max relative difference 4e-10", "tag: b -> x", "iters: 20 -> 10, 16 -> 11"]
+        "sigma: max relative difference 4e-10, max absolute difference 3e-10", "tag: b -> x", "iters: 20 -> 10, 16 -> 11"]
 
 
 def test_column_differences_of_unlike_tables():
@@ -51,4 +51,16 @@ def test_column_differences_of_unlike_tables():
     assert tool.column_differences("a,b\n1,2\n", "a,b\n1,2\n") == []
     assert tool.column_differences("a,b\n1,2\n", "a,c\n1,2\n") == ["header or row count differs"]
     assert tool.column_differences("a\nnan\n", "a\n1.5\n") == ["a: nan -> 1.5"]
-    assert tool.column_differences("a\n0\n", "a\n0.0\n") == ["a: max relative difference 0"]
+    assert tool.column_differences("a\n0\n", "a\n0.0\n") == [
+        "a: max relative difference 0, max absolute difference 0"]
+
+
+def test_dump_differences_give_each_column_its_largest_change(tmp_path):
+    base, change = tmp_path / "base.txt", tmp_path / "change.txt"
+    base.write_text("# t v phi\n-1 1 0\n0 0.5 1.5\n1 1 3\n")
+    change.write_text("# t v phi\n-1 1 0\n0 0.5000001 1.5\n1 0.99 3.25\n")
+    assert load_tool().dump_differences(str(base), str(change)) == [
+        "profile dump: max |dt| 0, |dv| 0.01, |dphi| 0.25"]
+    change.write_text("# t v phi\n-1 1 0\n")
+    assert load_tool().dump_differences(str(base), str(change)) == [
+        "profile dump: row count differs"]

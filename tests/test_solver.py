@@ -400,6 +400,22 @@ class TestSolvePhases:
         result = solver.solve(beta, grad_tol=1e-12)
         assert result.joint_steps > 0
 
+    def test_tight_tolerance_converges_from_nearby_start_depths(self, monkeypatch):
+        # in the last joint steps at beta = 100 the predicted decrease g.d is
+        # 1e-20 or less, far below the energy's rounding; while rounding
+        # decided the Armijo test, about half of these 21 starts stalled near 2e-12
+        beta = 100.0
+        m_bar, value = analytic.minimize_plateau_objective(beta)
+        stalled = []
+        for k in range(-10, 11):
+            monkeypatch.setattr(analytic, "minimize_plateau_objective",
+                                lambda b, m=m_bar + k * 2e-10: (m, value))
+            try:
+                solver.solve(beta, grad_tol=1e-12)
+            except solver.ConvergenceError:
+                stalled.append(k)
+        assert stalled == []
+
     @pytest.mark.parametrize("beta", [1e-4, 1.0])
     def test_round_hands_joint_newton_its_exact_energy_and_gradient(self, beta):
         grid = Grid1D.from_spacing(20.0, 0.05)
@@ -675,6 +691,30 @@ class TestNewtonKernel:
         x_new, value = solver.arc_search(merit, merit(x), x, g.copy(), g, 0.0, 1.0, fixed)
         np.testing.assert_array_equal(x_new, [0.0, 0.2, 0.9, 0.5])
         assert value == merit(x_new) < merit(x)
+
+    def test_arc_search_takes_a_step_that_rounding_decides(self):
+        # predicted decrease 1e-20: a rise of one ulp is rounding, and the
+        # full step passes; a rise of 100 ulp is not, and the search
+        # backtracks to its last trial, which x + alpha d rounds back to x
+        x, d, g = np.array([0.5]), np.array([0.25]), np.array([-4e-20])
+        fixed = np.zeros(1, dtype=bool)
+        for rise, x_end in ((1, 0.75), (100, 0.5)):
+            value = 1.0 + rise * math.ulp(1.0)
+            x_new, value_new = solver.arc_search(lambda y: value, 1.0, x, d, g, 0.0, 1.0, fixed)
+            assert x_new[0] == x_end and value_new == value
+
+    def test_equal_energy_steps_that_rise_within_rounding_stall(self):
+        # each step rises by one ulp, within the energy's rounding, and leaves
+        # the gradient where it was: one step, then the stall rule stops
+        n = 9
+        fixed = np.zeros(n, dtype=bool)
+        fixed[0] = fixed[-1] = True
+        energies = iter(1.0 + k * math.ulp(1.0) for k in range(1000))
+        block = solver.Block(lambda x: next(energies), lambda x: np.full(n, -1e-21),
+                             lambda x: (np.ones(n), np.zeros(n - 1), np.zeros(n)))
+        _, steps, value, _ = solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block,
+                                                     1e-30, 1000)
+        assert steps == 1 and value == 1.0 + math.ulp(1.0)
 
     def test_nan_curvature_stops_the_solve(self):
         # without the finiteness check a NaN step passes the Armijo test

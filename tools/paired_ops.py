@@ -11,8 +11,10 @@ from BASE (by default all eight of the three workloads).  Per operation the
 table gives each tree's min and median seconds, the median of the per-round
 ratios CHANGE/BASE, and whether the two trees wrote the same stdout (and the
 same profile dump) in every round.  Below the table, each operation whose
-stdout differs lists the CSV columns that differ: the old -> new values of
-an integer column such as ``iters``, else the largest relative difference.
+output differs lists the CSV columns that differ: the old -> new values of
+an integer column such as ``iters``, else the largest relative and the
+largest absolute difference; a differing profile dump gives the largest
+absolute difference of each of its columns.
 A pair of back-to-back runs shares the machine's load, so its ratio is
 steadier than a ratio of two medians from separate processes.  Exit code 1
 when an output differs.
@@ -32,6 +34,8 @@ import statistics
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 
 def load_tree(root: str, name: str):
@@ -82,7 +86,7 @@ def column_differences(base: str, change: str) -> list[str]:
     header and row count.  An integer column (such as ``iters``) lists
     ``a -> b`` per differing row, and so does a column of other text; a
     column of finite numbers gives its largest relative difference
-    |b - a| / max(|a|, |b|)."""
+    |b - a| / max(|a|, |b|) and its largest absolute difference |b - a|."""
     old, new = (list(csv.reader(io.StringIO(text))) for text in (base, change))
     if not old or not new or old[0] != new[0] or len(old) != len(new):
         return ["header or row count differs"]
@@ -94,12 +98,28 @@ def column_differences(base: str, change: str) -> list[str]:
         texts = [t for pair in pairs for t in pair]
         floats = _all(float, texts)
         if _all(int, texts) is None and floats and all(map(math.isfinite, floats)):
+            pairs = list(zip(floats[::2], floats[1::2]))
             worst = max(abs(b - a) / max(abs(a), abs(b)) if a != b else 0.0  # "0" -> "0.0"
-                        for a, b in zip(floats[::2], floats[1::2]))
-            lines.append(f"{name}: max relative difference {worst:.3g}")
+                        for a, b in pairs)
+            largest = max(abs(b - a) for a, b in pairs)
+            lines.append(f"{name}: max relative difference {worst:.3g}, "
+                         f"max absolute difference {largest:.3g}")
         else:
             lines.append(f"{name}: " + ", ".join(f"{a} -> {b}" for a, b in pairs))
     return lines
+
+
+def dump_differences(base: str, change: str) -> list[str]:
+    """One line with the largest absolute difference of each column of two
+    profile dumps (``# t v phi`` header, one node per row)."""
+    with open(base) as fh:
+        names = fh.readline().lstrip("#").split()
+    old, new = np.loadtxt(base, ndmin=2), np.loadtxt(change, ndmin=2)
+    if old.shape != new.shape:
+        return ["profile dump: row count differs"]
+    worst = np.abs(new - old).max(axis=0)
+    return ["profile dump: max " + ", ".join(f"|d{name}| {w:.3g}"
+                                             for name, w in zip(names, worst))]
 
 
 def main(argv=None) -> int:
@@ -122,7 +142,7 @@ def main(argv=None) -> int:
         ops = [op for op in ops if op[0] in wanted]
 
     times = {(name, tree): [] for name, _ in ops for tree in clis}
-    differing = {}  # name -> (base stdout, change stdout, dumps equal) of the first differing round
+    differing = {}  # name -> (base stdout, change stdout, dump lines) of the first differing round
     with tempfile.TemporaryDirectory() as tmp:
         for rnd in range(args.rounds):
             order = list(clis) if rnd % 2 == 0 else list(clis)[::-1]
@@ -134,8 +154,10 @@ def main(argv=None) -> int:
                     times[name, tree].append(seconds)
                 dumps = [os.path.join(tmp, f"{tree}.txt") for tree in clis]
                 dumps_equal = "{dump}" not in op_argv or filecmp.cmp(*dumps, shallow=False)
-                if outputs["base"] != outputs["change"] or not dumps_equal:
-                    differing.setdefault(name, (outputs["base"], outputs["change"], dumps_equal))
+                if (outputs["base"] != outputs["change"] or not dumps_equal) \
+                        and name not in differing:
+                    differing[name] = (outputs["base"], outputs["change"],
+                                       [] if dumps_equal else dump_differences(*dumps))
 
     print(f"{args.rounds} rounds; seconds min / median; ratio = median of change/base per round")
     print(f"{'operation':<14}{'base':>19}{'change':>19}{'ratio':>8}  output")
@@ -145,10 +167,9 @@ def main(argv=None) -> int:
         print(f"{name:<14}{min(base):9.4f}{statistics.median(base):10.4f}"
               f"{min(change):9.4f}{statistics.median(change):10.4f}{ratio:8.3f}  "
               f"{'DIFFERS' if name in differing else 'same'}")
-    for name, (base, change, dumps_equal) in differing.items():
+    for name, (base, change, dump_lines) in differing.items():
         print(f"{name} differs:")
-        for line in (column_differences(base, change) if base != change else []) + (
-                [] if dumps_equal else ["profile dump"]):
+        for line in (column_differences(base, change) if base != change else []) + dump_lines:
             print(f"  {line}")
     return 1 if differing else 0
 
