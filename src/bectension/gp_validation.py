@@ -240,29 +240,25 @@ class _MassConstraints:
     """c_k = sum m v^2 (1, cos(phi))_k - targets_k, m = h w eta^2, on the
     interleaved pair x = (v_0, phi_0, v_1, phi_1, ...): their values, their
     gradients as the columns of an (x.size, 2) array, and lam1 hess(c1) +
-    lam2 hess(c2) added to a band in LAPACK lower storage.  With ``energy``,
-    the sin and cos of a frozen x come from its per-iterate memo
-    (``PairEnergy._angle``), which that energy's joint objective shares."""
+    lam2 hess(c2) added to a band in LAPACK lower storage.  Each takes the
+    ``solver._Angle`` of x's angles when the caller has it, as the joint
+    objective of ``solver.PairEnergy`` does."""
 
     mass: np.ndarray
     targets: np.ndarray  # (t1, t2)
-    energy: solver.PairEnergy | None = None
 
-    def _angle(self, x) -> solver._Angle:
-        phi = x[1::2]
-        return solver._Angle(phi) if self.energy is None else self.energy._angle(x, phi)
-
-    def values(self, x) -> np.ndarray:
+    def values(self, x, angle=None) -> np.ndarray:
         mv2 = self.mass * x[0::2] ** 2
-        return np.array([np.sum(mv2), np.sum(mv2 * self._angle(x).cos)]) - self.targets
+        angle = angle or solver._Angle(x[1::2])
+        return np.array([np.sum(mv2), np.sum(mv2 * angle.cos)]) - self.targets
 
-    def gradients(self, x) -> np.ndarray:
-        mv, angle = self.mass * x[0::2], self._angle(x)
+    def gradients(self, x, angle=None) -> np.ndarray:
+        mv, angle = self.mass * x[0::2], angle or solver._Angle(x[1::2])
         grad2 = solver._interleave(2.0 * mv * angle.cos, -mv * x[0::2] * angle.sin)
         return np.column_stack((solver._interleave(2.0 * mv, np.zeros(mv.size)), grad2))
 
-    def add_hessian(self, ab, x, lam):
-        mv, angle = self.mass * x[0::2], self._angle(x)
+    def add_hessian(self, ab, x, lam, angle=None):
+        mv, angle = self.mass * x[0::2], angle or solver._Angle(x[1::2])
         ab[0, 0::2] += 2.0 * self.mass * (lam[0] + lam[1] * angle.cos)
         ab[0, 1::2] -= lam[1] * mv * x[0::2] * angle.cos
         ab[1, 0::2] -= 2.0 * lam[1] * mv * angle.sin
@@ -299,28 +295,30 @@ def _constrained_newton(objective, constraints, x, fixed):
     The line search stalls when the merit rises by more than its rounding
     (``solver.rounding``).  Returns ``(x, steps, pg, why)``: pg the max-norm
     of the projected gradient of the Lagrangian, why None on convergence,
-    else the reason.
+    else the reason.  The ``solver._Angle`` that ``objective.energy``
+    returns at an iterate goes to every function evaluated there.
     """
-    x = solver._frozen(x)  # so the energy, gradient and curvature at x share one sin and cos
     hi = np.tile([np.inf, np.pi], x.size // 2)
     lam = np.zeros(2)
     steps = 0
 
-    def merit(x):  # at the current multipliers
-        c = constraints.values(x)
-        return objective.energy(x) + lam @ c + 5.0 * (c @ c)
+    def merit(x, angle=None):  # at the current multipliers
+        value, angle = objective.energy(x, angle)
+        c = constraints.values(x, angle)
+        return value + lam @ c + 5.0 * (c @ c), angle
 
+    _, angle = objective.energy(x)
     while True:
-        g = np.where(fixed, 0.0, objective.gradient(x))
-        c = constraints.values(x)
-        a = np.where(fixed[:, None], 0.0, constraints.gradients(x))
+        g = np.where(fixed, 0.0, objective.gradient(x, angle))
+        c = constraints.values(x, angle)
+        a = np.where(fixed[:, None], 0.0, constraints.gradients(x, angle))
         pg = np.abs(solver._projected(x, g + a @ lam, 0.0, hi)).max()
         if pg <= KKT_TOL and np.abs(c).max() <= KKT_TOL:
             return x, steps, pg, None
         if steps == MAX_STEPS:
             return x, steps, pg, f"the budget of {MAX_STEPS} steps is spent"
         steps += 1
-        ab = constraints.add_hessian(objective.curvature(x), x, lam)
+        ab = constraints.add_hessian(objective.curvature(x, angle), x, lam, angle)
         held = fixed | (ab[0] == 0.0)  # no curvature: phi where v vanishes around it
         tau, top = 0.0, np.abs(ab[0]).max()
         while True:  # shift the free diagonal by tau until the step descends on the merit
@@ -334,11 +332,11 @@ def _constrained_newton(objective, constraints, x, fixed):
             ab[0, ~held] += max(9.0 * tau, 1e-5 * top)
             tau = max(10.0 * tau, 1e-5 * top)
         lam = lam + dlam
-        value = merit(x)
-        x_new, value_new = solver.arc_search(merit, value, x, d, gm, 0.0, hi, fixed)
+        value, _ = merit(x, angle)
+        x_new, value_new, angle_new = solver.arc_search(merit, value, x, d, gm, 0.0, hi, fixed)
         if not value_new <= value + solver.rounding(value):
             return x, steps, pg, "the line search stalled"
-        x = x_new
+        x, angle = x_new, angle_new
 
 
 def minimize_weighted_pair(
@@ -391,7 +389,7 @@ def minimize_weighted_pair(
 
     energy = _weighted_energy(eta, eps, beta, scale=eps, window=win)
     pair, steps, pg, why = _constrained_newton(
-        energy.joint(), _MassConstraints(mass[win], targets - exterior, energy),
+        energy.joint(), _MassConstraints(mass[win], targets - exterior),
         solver._interleave(v[win], phi[win]), solver._interleave(fixed, fixed))
     v[win], phi[win] = pair[0::2], pair[1::2]
 

@@ -45,8 +45,9 @@ term, a left-associative prefix, an argument of sin or cos), so a block's
 energy is the same float as ``PairEnergy.terms(v, phi).total`` and the value
 carried from one block to the next is exact.  ``PairEnergy.joint()`` returns
 the same gradients interleaved.  The sin and cos of an iterate's angles are
-computed once, shared by its energy, gradient and curvature and by the next
-block at the same phi (``PairEnergy._angle``).
+computed once: each energy returns the ``_Angle`` it built with its value,
+and the Newton drivers hand it to the gradient and curvature at that
+iterate and to the next block at the same phi.
 """
 
 from __future__ import annotations
@@ -174,14 +175,6 @@ class _Angle:
     cos = cached_property(lambda self: np.cos(self.phi))
 
 
-def _frozen(x):
-    """A copy of the 1-D array ``x`` that cannot change: its data is an
-    immutable ``bytes`` object, so numpy refuses to make it writable again.
-    The Newton iterates are such copies, so ``PairEnergy`` can keep the sin
-    and cos of their angles from one call to the next (``_angle``)."""
-    return np.frombuffer(x.tobytes(), x.dtype)
-
-
 @dataclass(frozen=True)
 class PairEnergy:
     """The weighted pair energy at coupling ``beta`` on a grid of spacing ``h``:
@@ -200,9 +193,6 @@ class PairEnergy:
     cell: np.ndarray
     node: np.ndarray
     pot: np.ndarray
-    # the last iterate made by _frozen that a block function was given, and its _Angle
-    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False,
-                        compare=False)
 
     @classmethod
     def unit(cls, beta: float, grid: Grid1D) -> "PairEnergy":
@@ -226,61 +216,49 @@ class PairEnergy:
     def terms(self, v, phi) -> EnergyBreakdown:
         return self._terms(self._v_terms(v), np.diff(phi), np.sin(phi) ** 2)
 
-    def _angle(self, x, phi) -> _Angle:
-        """The ``_Angle`` of ``phi``, the angles of the iterate ``x``.  The last
-        ``x`` made by ``_frozen`` is remembered, so the next calls with it (the
-        energy at a trial point, then the gradient and the curvature there,
-        or the next block at the same phi) share its sin and cos.  Any other
-        array may change in place and is never remembered.
-        """
-        if x is self._last[0]:
-            return self._last[1]
-        angle = _Angle(phi)
-        if type(x.base) is bytes:  # made by _frozen: its data cannot change
-            self._last[:] = x, angle
-        return angle
-
     def phi_block(self, v) -> Block:
         """The energy in phi at frozen v.  ``curvature`` is the exact block
         Hessian, tridiagonal since neighbouring nodes of one field couple only
         through its kinetic term; ``pot`` holds every diagonal term that can
-        turn negative, for the kernel's shift.  ``gradient`` takes the
-        ``_Angle`` of phi when the caller has it.
+        turn negative, for the kernel's shift.
         """
         h = self.h
         v_terms = self._v_terms(v)
         v2 = v * v
         force = 0.25 * self.beta * h * self.pot * v2 * v2
 
-        def energy(phi):
-            return self._terms(v_terms, np.diff(phi), self._angle(phi, phi).sin ** 2).total
+        def energy(phi, angle=None):
+            angle = angle or _Angle(phi)
+            return self._terms(v_terms, np.diff(phi), angle.sin ** 2).total, angle
 
         def gradient(phi, angle=None):
-            angle = angle or self._angle(phi, phi)
+            angle = angle or _Angle(phi)
             flux = v_terms[2] * np.diff(phi) / (8.0 * h)
             g = _scatter(np.zeros(phi.size), -flux, flux)
             g += force * angle.sin * angle.cos
             return g
 
-        def curvature(phi):
+        def curvature(phi, _=None):
             a = v_terms[2] / (8.0 * h)
             return _scatter(np.zeros(phi.size), a, a), -a, force * np.cos(2.0 * phi)
 
         return Block(energy, gradient, curvature)
 
     def v_block(self, phi, angle=None) -> Block:
-        """The energy in v at frozen phi, whose ``_Angle`` the caller may pass; as ``phi_block``."""
+        """The energy in v at frozen phi, whose ``_Angle`` the caller may pass;
+        as ``phi_block``, with that one ``_Angle`` for every v."""
         h, beta, pot = self.h, self.beta, self.pot
         dphi = np.diff(phi)
         dphi2 = dphi * dphi
-        sin_phi = (angle or self._angle(phi, phi)).sin
+        angle = angle or _Angle(phi)
+        sin_phi = angle.sin
         sin2 = sin_phi ** 2
         a = self.cell / h
 
-        def energy(v):
-            return self._terms(self._v_terms(v), dphi, sin2).total
+        def energy(v, _=None):
+            return self._terms(self._v_terms(v), dphi, sin2).total, angle
 
-        def gradient(v):
+        def gradient(v, _=None):
             v2 = v * v
             flux = self.cell * np.diff(v) / h
             g = _scatter(np.zeros(v.size), -flux, flux)
@@ -290,7 +268,7 @@ class PairEnergy:
             g += 0.5 * beta * h * pot * v * v2 * sin_phi * sin_phi
             return g
 
-        def curvature(v):
+        def curvature(v, _=None):
             v2 = v * v
             diag = h * pot * (3.0 * v2 - 1.0)
             b = dphi2 / (8.0 * h)
@@ -317,19 +295,20 @@ class PairEnergy:
         with dphi_i = phi_{i+1} - phi_i and dphi = 0 beyond the ends.
         """
 
-        def energy(x):
+        def energy(x, angle=None):
             v, phi = x[0::2], x[1::2]
-            return self._terms(self._v_terms(v), np.diff(phi), self._angle(x, phi).sin ** 2).total
+            angle = angle or _Angle(phi)
+            return self._terms(self._v_terms(v), np.diff(phi), angle.sin ** 2).total, angle
 
-        def gradient(x):
+        def gradient(x, angle=None):
             v, phi = x[0::2], x[1::2]
-            angle = self._angle(x, phi)
+            angle = angle or _Angle(phi)
             return _interleave(self.v_block(phi, angle).gradient(v),
                                self.phi_block(v).gradient(phi, angle))
 
-        def curvature(x):
+        def curvature(x, angle=None):
             v, phi = x[0::2], x[1::2]
-            angle = self._angle(x, phi)
+            angle = angle or _Angle(phi)
             ab = np.zeros((4, x.size), order="F")
             blocks = (self.v_block(phi, angle).curvature(v), self.phi_block(v).curvature(phi))
             for k, (kin, off, pot) in enumerate(blocks):
@@ -468,7 +447,9 @@ def band_newton(curvature, x, fixed, g):
 
 
 # An objective for ``projected_newton``: the energy, its gradient (pinned
-# rows included), the Hessian model, and how that model yields a step.
+# rows included), the Hessian model, and how that model yields a step.  The
+# first three take a point and its ``_Angle``, which ``energy`` returns with
+# its value (``PairEnergy`` builds one when none is given).
 Block = namedtuple("Block", "energy gradient curvature newton", defaults=(tridiagonal_newton,))
 
 
@@ -492,7 +473,8 @@ def arc_search(merit, value, x, d, g, lo, hi, fixed):
     -alpha g.d is below the ``rounding`` of ``value``, rounding decides the
     Armijo test, so a merit at most that rounding above ``value`` passes
     instead (the approximate Wolfe test of Hager and Zhang, SIAM J. Optim.
-    16, 2005).  Returns the last trial point and its merit."""
+    16, 2005).  ``merit`` returns a value and an ``_Angle``, as ``Block.energy``.
+    Returns the last trial point, its merit and its ``_Angle``."""
     slope = dot(g, d)
     if not np.isfinite(slope) or slope >= 0.0:
         d = -_projected(x, g, lo, hi)
@@ -502,15 +484,15 @@ def arc_search(merit, value, x, d, g, lo, hi, fixed):
     while True:
         x_new = np.clip(x + alpha * d, lo, hi)
         x_new[fixed] = x[fixed]
-        x_new = _frozen(x_new)
-        value_new = merit(x_new)
+        value_new, angle = merit(x_new)
         if (value_new <= value + 1e-4 * alpha * slope or alpha < 1e-16
                 or -alpha * slope <= noise and value_new <= value + noise):
-            return x_new, value_new
+            return x_new, value_new, angle
         alpha *= 0.5
 
 
-def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=None):
+def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=None,
+                     angle=None):
     """Projected damped Newton in the box [lo, hi].
 
     ``objective`` is a ``Block``: one field with the others frozen (see
@@ -527,19 +509,19 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
     lower the energy and the max-norm of the projected gradient did not
     fall below its least value since the energy last fell.
 
-    ``value`` and ``g`` (pinned rows zeroed) are the energy and gradient at
-    ``x`` when the caller has them.  Returns ``(x, steps, value, g)``: ``g``
-    is the gradient at the returned ``x`` when the loop stopped on it
-    (tolerance or stall) and None when the last step moved ``x``.
+    ``value``, ``g`` (pinned rows zeroed) and ``angle`` are the energy,
+    gradient and ``_Angle`` at ``x`` when the caller has them.  Returns ``(x,
+    steps, value, g, angle)``: ``g`` is the gradient at the returned ``x``
+    when the loop stopped on it (tolerance or stall) and None when the last
+    step moved ``x``; ``angle`` is the returned ``x``'s ``_Angle``.
     """
-    x = _frozen(x)
     if value is None:
-        value = objective.energy(x)
+        value, angle = objective.energy(x)
     steps = 0
     least = math.inf  # least max|P grad E| since the energy last fell
     for _ in range(max_steps):
         if g is None:
-            g = np.where(fixed, 0.0, objective.gradient(x))
+            g = np.where(fixed, 0.0, objective.gradient(x, angle))
         pg = _projected(x, g, lo, hi)
         size = np.abs(pg)
         if (size <= tol).all():
@@ -549,13 +531,13 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
             break
         steps += 1
 
-        d = objective.newton(objective.curvature, x, fixed, g)
-        x_new, value_new = arc_search(objective.energy, value, x, d, g, lo, hi, fixed)
+        d = objective.newton(lambda y: objective.curvature(y, angle), x, fixed, g)
+        x_new, value_new, angle_new = arc_search(objective.energy, value, x, d, g, lo, hi, fixed)
         if not value_new <= value + rounding(value):  # stalled at machine precision
             break
         least = min(least, norm) if value_new >= value else math.inf
-        x, value, g = x_new, value_new, None
-    return x, steps, value, g
+        x, value, g, angle = x_new, value_new, None, angle_new
+    return x, steps, value, g, angle
 
 
 # ---------------------------------------------------------------------------
@@ -563,69 +545,67 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
 # ---------------------------------------------------------------------------
 
 BLOCK_STEPS = 6           # Newton steps of the phi block
-MAX_HALF_STEPS = 200_000  # budget of Newton steps (block and joint) of one unit solve
+MAX_HALF_STEPS = 200_000  # budget of joint Newton steps of one unit solve
 
 
 def block_round(problem, v, phi, fixed_v, fixed_phi, tol):
     """One round of the two convex blocks: projected Newton on phi at fixed v,
     then on v at fixed phi (``problem.phi_block``, ``v_block``), in the boxes
     [0, pi] and [0, 1]; rows in ``fixed_phi`` and ``fixed_v`` never move.
-    The phi block takes at most BLOCK_STEPS steps and the v block one, both
-    within MAX_HALF_STEPS, towards a quarter of ``tol``; the v block starts
-    from the energy the phi block stopped at.
+    The phi block takes at most BLOCK_STEPS steps and the v block one,
+    towards a quarter of ``tol``; the v block starts from the energy and the
+    ``_Angle`` the phi block stopped at.  The block steps converge only
+    linearly (``tridiagonal_newton`` shifts the diagonal), so where the
+    round does not meet ``tol`` (beta > 1e-3 on the default grids) joint
+    Newton finishes the solve.
 
-    Every default solve that ends in the round (beta <= 1e-3) takes at most
-    six phi steps and one v step, so those solves are the same floats as
-    with longer blocks.  Past that the block steps converge only linearly
-    (``tridiagonal_newton`` shifts the diagonal), and joint Newton takes
-    over sooner without taking more steps itself.
-
-    Returns ``(v, phi, steps, pg, value, gv, gphi)``: ``pg`` the stop norm
-    (``_projected_gradient_norm``), ``value`` the energy at the end and
-    ``gv``, ``gphi`` the gradient there, pinned rows zeroed.  ``value`` and
-    the interleaved gradient are the floats ``problem.joint()`` gives at the
-    interleaved pair, so ``joint_newton`` starts from them without
-    evaluating either again.
+    Returns ``(v, phi, steps, pg, value, g, angle)``: ``pg`` the stop norm
+    (``_projected_gradient_norm``), ``value`` the energy at the end, ``g``
+    the interleaved gradient there, pinned rows zeroed, and ``angle`` the
+    ``_Angle`` of ``phi``.  ``value`` and ``g`` are the floats
+    ``problem.joint()`` gives at the interleaved pair, so ``joint_newton``
+    starts from them and from ``angle`` without evaluating any again.
     """
     block_tol = 0.25 * tol
     phi_block = problem.phi_block(v)
-    phi, s_phi, value, _ = projected_newton(phi, 0.0, np.pi, fixed_phi, phi_block, block_tol,
-                                            min(BLOCK_STEPS, MAX_HALF_STEPS))
+    phi, s_phi, value, _, angle = projected_newton(phi, 0.0, np.pi, fixed_phi, phi_block,
+                                                   block_tol, BLOCK_STEPS)
     del phi_block  # one block's arrays alive at a time
-    v_block = problem.v_block(phi)
-    v, s_v, value, gv = projected_newton(v, 0.0, 1.0, fixed_v, v_block, block_tol,
-                                         min(1, MAX_HALF_STEPS - s_phi), value)
+    v_block = problem.v_block(phi, angle)
+    v, s_v, value, gv, _ = projected_newton(v, 0.0, 1.0, fixed_v, v_block, block_tol, 1, value)
     if gv is None:
         gv = np.where(fixed_v, 0.0, v_block.gradient(v))
     del v_block
-    gphi = np.where(fixed_phi, 0.0, problem.phi_block(v).gradient(phi))
-    return v, phi, s_phi + s_v, _projected_gradient_norm(v, phi, gv, gphi), value, gv, gphi
+    gphi = np.where(fixed_phi, 0.0, problem.phi_block(v).gradient(phi, angle))
+    return (v, phi, s_phi + s_v, _projected_gradient_norm(v, phi, gv, gphi), value,
+            _interleave(gv, gphi), angle)
 
 
 def _interleave(a, b):
     return np.column_stack((a, b)).ravel()
 
 
-def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps, value=None, g=None):
+def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps, value=None, g=None,
+                 angle=None):
     """Projected Newton on the interleaved pair (v_0, phi_0, v_1, phi_1, ...),
     the objective ``problem.joint()``, in the box [0, 1] x [0, pi].  The stop
     norm is ``_projected_gradient_norm``: node 0 counts twice, so its rows stop
     at half of ``tol``; on a full line node 0 is pinned, and that norm is the
-    full-line one.  ``value`` and ``g`` (interleaved, pinned rows zeroed) are
-    the energy and gradient at the start when the caller has them
-    (``block_round``).  Returns (v, phi, steps, final projected-gradient
-    norm).
+    full-line one.  ``value``, ``g`` (interleaved, pinned rows zeroed) and
+    ``angle`` (the ``_Angle`` of ``phi``) are the energy, gradient and sin and
+    cos at the start when the caller has them (``block_round``).  Returns (v,
+    phi, steps, final projected-gradient norm).
     """
     n = v.size
     tols = np.full(2 * n, tol)
     tols[:2] = 0.5 * tol  # |2 g_0| <= tol, exactly
     objective = problem.joint()
     fixed = _interleave(fixed_v, fixed_phi)
-    x, steps, _, g = projected_newton(_interleave(v, phi), 0.0,
-                                      _interleave(np.ones(n), np.full(n, np.pi)),
-                                      fixed, objective, tols, max_steps, value, g)
+    x, steps, _, g, angle = projected_newton(_interleave(v, phi), 0.0,
+                                             _interleave(np.ones(n), np.full(n, np.pi)),
+                                             fixed, objective, tols, max_steps, value, g, angle)
     if g is None:
-        g = np.where(fixed, 0.0, objective.gradient(x))
+        g = np.where(fixed, 0.0, objective.gradient(x, angle))
     v, phi = x[0::2], x[1::2]
     return v, phi, steps, _projected_gradient_norm(v, phi, g[0::2], g[1::2])
 
@@ -832,8 +812,8 @@ def solve(beta: float, *, half_width: float | None = None, spacing: float | None
     max-norm of the projected gradient at the end.
     Solves on the half line and reflects the result onto the full grid: one
     block round, then joint Newton unless that round met the tolerance.
-    Both phases share the budget ``MAX_HALF_STEPS``; a spent budget or a
-    stall raises ConvergenceError naming the phase.
+    Joint Newton takes at most ``MAX_HALF_STEPS`` steps; a spent budget or a
+    stall raises ConvergenceError.
     A sigma outside ``analytic.sigma_bracket`` (grid too narrow or too coarse) raises ValueError.
     """
     beta = analytic._check_beta(beta)
@@ -852,14 +832,13 @@ def solve(beta: float, *, half_width: float | None = None, spacing: float | None
     v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
     phi[0] = 0.5 * np.pi
     energy, fixed_v, fixed_phi = half_line_problem(beta, grid)
-    v, phi, block_steps, pg, value, *grad = block_round(energy, v, phi, fixed_v, fixed_phi,
-                                                        grad_tol)
+    v, phi, block_steps, pg, value, grad, angle = block_round(energy, v, phi, fixed_v,
+                                                              fixed_phi, grad_tol)
     joint_steps = 0
     if pg > grad_tol:
-        grad = _interleave(*grad)  # one copy alive in the joint phase
         v, phi, joint_steps, pg = joint_newton(energy, v, phi, fixed_v, fixed_phi, grad_tol,
-                                               MAX_HALF_STEPS - block_steps, value, grad)
-    del grad  # before the full-grid arrays of the report
+                                               MAX_HALF_STEPS, value, grad, angle)
+    del grad, angle  # before the full-grid arrays of the report
     steps = block_steps + joint_steps
     pair = ProfilePair(grid, np.concatenate([v[:0:-1], v]),
                        np.concatenate([np.pi - phi[:0:-1], phi]))
@@ -880,14 +859,12 @@ def solve(beta: float, *, half_width: float | None = None, spacing: float | None
         pair=pair,
     )
     if pg > grad_tol:
-        if steps < MAX_HALF_STEPS:
-            why = "the joint Newton phase stalled at machine precision"
-        else:
-            phase = "joint Newton phase" if joint_steps else "block round"
-            why = f"the {phase} spent the budget of {MAX_HALF_STEPS} steps"
+        why = (f"spent the budget of {MAX_HALF_STEPS} steps" if joint_steps == MAX_HALF_STEPS
+               else "stalled at machine precision")
         raise ConvergenceError(
             f"projected gradient {pg:.3e} above tolerance {grad_tol:.3e} after "
-            f"{block_steps} block + {joint_steps} joint Newton steps: {why}",
+            f"{block_steps} block + {joint_steps} joint Newton steps: the joint Newton phase "
+            f"{why}",
             result,
         )
     if not bracket.lower <= result.sigma <= bracket.upper:

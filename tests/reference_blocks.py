@@ -8,6 +8,14 @@ product keeps the association used here.  ``pair_mixed`` and
 
 import numpy as np
 
+from bectension import solver
+
+
+def plain_block(energy, gradient, curvature, *newton):
+    """A ``solver.Block`` of functions of x alone, with no ``_Angle`` to share."""
+    return solver.Block(lambda x, _=None: (energy(x), None), lambda x, _=None: gradient(x),
+                        lambda x, _=None: curvature(x), *newton)
+
 
 def pair_gradient(e, v, phi, block):
     h, beta, pot = e.h, e.beta, e.pot
@@ -111,7 +119,7 @@ def assert_blocks_match(problem, v, phi, energy, gradient, curvature):
     """Each block of ``problem`` at (v, phi) equals the references bit for bit."""
     blocks = {"v": (problem.v_block(phi), v), "phi": (problem.phi_block(v), phi)}
     for name, (block, x) in blocks.items():
-        assert block.energy(x) == energy(problem, v, phi)
+        assert block.energy(x)[0] == energy(problem, v, phi)
         np.testing.assert_array_equal(block.gradient(x), gradient(problem, v, phi, name))
         got, want = block.curvature(x), curvature(problem, v, phi, name)
         assert len(got) == len(want) == 3

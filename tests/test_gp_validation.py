@@ -285,17 +285,17 @@ class TestBorderedNewton:
         np.testing.assert_allclose(lam + dlam, lam_star, atol=1e-12)
 
     def quadratic(self, hess, b, a, r):
-        objective = solver.Block(lambda x: 0.5 * x @ hess @ x - b @ x, lambda x: hess @ x - b,
-                                 lambda x: self.band(hess))
+        objective = ref.plain_block(lambda x: 0.5 * x @ hess @ x - b @ x, lambda x: hess @ x - b,
+                                    lambda x: self.band(hess))
 
         class Linear:
-            def values(self, x):
+            def values(self, x, angle=None):
                 return a.T @ x - r
 
-            def gradients(self, x):
+            def gradients(self, x, angle=None):
                 return a.copy()
 
-            def add_hessian(self, ab, x, lam):
+            def add_hessian(self, ab, x, lam, angle=None):
                 return ab
 
         return objective, Linear()
@@ -314,7 +314,8 @@ class TestBorderedNewton:
         objective, constraints = self.quadratic(hess, np.ones(self.N), a, np.ones(2))
         x0 = np.where(fixed, 0.0, 0.5)
         # an energy that every move raises without bound: no step length passes
-        bump = objective._replace(energy=lambda x: np.inf if np.any(x != x0) else 0.0)
+        bump = objective._replace(energy=lambda x, _=None: (np.inf if np.any(x != x0) else 0.0,
+                                                            None))
         x, steps, _, why = gp._constrained_newton(bump, constraints, x0, fixed)
         assert why == "the line search stalled" and steps == 1
         np.testing.assert_array_equal(x, x0)
@@ -458,18 +459,17 @@ class TestConstrainedMinimization:
         assert np.minimum(last.phi, np.pi - last.phi)[inner].max() <= 0.1
 
     def test_mass_constraints_share_the_iterates_sin_and_cos(self, eta_coarse):
-        # the same floats whether the sin and cos come from the energy's memo or not
+        # the same floats with the _Angle the joint energy returns at x as with a fresh one
         rng = np.random.default_rng(5)
         n = eta_coarse.grid.n_points
-        x = solver._frozen(solver._interleave(rng.uniform(0.2, 1.0, n), rng.uniform(0.0, np.pi, n)))
-        mass, targets = rng.uniform(0.0, 1e-3, n), np.array([1.0, 0.1])
-        shared = gp._MassConstraints(mass, targets, gp._weighted_energy(eta_coarse, 0.1, 1.0))
-        fresh = gp._MassConstraints(mass, targets)
+        x = solver._interleave(rng.uniform(0.2, 1.0, n), rng.uniform(0.0, np.pi, n))
+        _, angle = gp._weighted_energy(eta_coarse, 0.1, 1.0).joint().energy(x)
+        constraints = gp._MassConstraints(rng.uniform(0.0, 1e-3, n), np.array([1.0, 0.1]))
         lam = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(shared.values(x), fresh.values(x))
-        np.testing.assert_array_equal(shared.gradients(x), fresh.gradients(x))
-        np.testing.assert_array_equal(shared.add_hessian(np.zeros((4, 2 * n)), x, lam),
-                                      fresh.add_hessian(np.zeros((4, 2 * n)), x, lam))
+        np.testing.assert_array_equal(constraints.values(x, angle), constraints.values(x))
+        np.testing.assert_array_equal(constraints.gradients(x, angle), constraints.gradients(x))
+        np.testing.assert_array_equal(constraints.add_hessian(np.zeros((4, 2 * n)), x, lam, angle),
+                                      constraints.add_hessian(np.zeros((4, 2 * n)), x, lam))
 
     def test_sin_and_cos_once_per_iterate(self, monkeypatch):
         # elements passed to np.sin and np.cos by the benchmark's gamma table,

@@ -13,10 +13,13 @@ def load_tool():
     return module
 
 
-def test_tree_against_itself_matches():
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "paired_ops.py"), str(ROOT),
-                           str(ROOT), "-n", "2", "--ops", "tf1"],
+def run_tool(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "paired_ops.py"), *args],
                           capture_output=True, text=True, timeout=120)
+
+
+def test_tree_against_itself_matches():
+    proc = run_tool(str(ROOT), str(ROOT), "-n", "2", "--ops", "tf1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines[0].startswith("2 rounds")
@@ -27,10 +30,21 @@ def test_tree_against_itself_matches():
 
 
 def test_unknown_operation_is_a_usage_error():
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "paired_ops.py"), str(ROOT),
-                           str(ROOT), "--ops", "tf9"], capture_output=True, text=True,
-                          timeout=120)
+    proc = run_tool(str(ROOT), str(ROOT), "--ops", "tf9")
     assert proc.returncode == 2 and "unknown operations ['tf9']" in proc.stderr
+
+
+def test_no_rounds_is_a_usage_error():
+    proc = run_tool(str(ROOT), str(ROOT), "-n", "0")
+    assert proc.returncode == 2 and "-n must be at least 1, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_tree_without_the_package_is_a_usage_error(tmp_path):
+    proc = run_tool(str(ROOT), str(tmp_path))
+    assert proc.returncode == 2
+    assert f"{tmp_path} is not a checkout of this repository: no src/bectension" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_column_differences_name_each_differing_column():

@@ -170,7 +170,7 @@ class TestBlockExactness:
                     "joint": (energy.joint(), solver._interleave(v, phi))}
 
         def evaluate(block, x):  # the curvature's arrays, or band rows, end to end
-            return block.energy(x), block.gradient(x), np.concatenate(block.curvature(x))
+            return block.energy(x)[0], block.gradient(x), np.concatenate(block.curvature(x))
 
         for name, (block, x) in blocks(pair.v.copy(), pair.phi.copy()).items():
             before = evaluate(block, x)
@@ -182,13 +182,6 @@ class TestBlockExactness:
             assert got[0] == want[0] != before[0]
             np.testing.assert_array_equal(got[1], want[1])
             np.testing.assert_array_equal(got[2], want[2])
-
-    def test_frozen_iterates_cannot_change(self):
-        x = solver._frozen(np.linspace(0.0, 1.0, 7))
-        with pytest.raises(ValueError):
-            x[3] = 2.0
-        with pytest.raises(ValueError):
-            x.flags.writeable = True
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, 100.0])
     def test_block_gradients_are_discrete_gradient(self, beta):
@@ -225,7 +218,7 @@ class TestJointObjective:
         for energy, x in joint_cases():
             v, phi = x[0::2].copy(), x[1::2].copy()
             joint = energy.joint()
-            assert joint.energy(x) == energy.terms(v, phi).total
+            assert joint.energy(x)[0] == energy.terms(v, phi).total
             g = joint.gradient(x)
             np.testing.assert_array_equal(g[0::2], energy.v_block(phi).gradient(v))
             np.testing.assert_array_equal(g[1::2], energy.phi_block(v).gradient(phi))
@@ -295,8 +288,8 @@ class TestJointObjective:
         assert np.isfinite(d).all() and np.all(d[fixed] == 0.0)
         assert grad @ d < 0.0
         hi = solver._interleave(np.ones(n), np.full(n, np.pi))
-        _, steps, value, _ = solver.projected_newton(x, 0.0, hi, fixed, joint, 0.0, 1)
-        assert steps == 1 and value < joint.energy(x)
+        _, steps, value, _, _ = solver.projected_newton(x, 0.0, hi, fixed, joint, 0.0, 1)
+        assert steps == 1 and value < joint.energy(x)[0]
 
     @pytest.mark.parametrize("where", [(0, 6), (1, 7), (2, 4), (3, 8)])
     def test_non_finite_band_raises(self, where):
@@ -313,8 +306,8 @@ class TestJointObjective:
 
         with pytest.raises(ValueError, match="non-finite"):
             solver.band_newton(curvature, np.zeros(n), fixed, np.ones(n))
-        block = solver.Block(lambda x: 0.5 * x @ x, lambda x: x - 0.5, curvature,
-                             solver.band_newton)
+        block = ref.plain_block(lambda x: 0.5 * x @ x, lambda x: x - 0.5, curvature,
+                                solver.band_newton)
         with pytest.raises(ValueError, match="non-finite"):
             solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block, 1e-12, 100)
 
@@ -340,9 +333,9 @@ class TestJointObjective:
             fixed = solver._interleave(fixed, fixed)
             hi = solver._interleave(np.ones(g.n_points), np.full(g.n_points, np.pi))
             x = solver._interleave(pair.v, pair.phi)
-            e_prev = joint.energy(x)
+            e_prev, _ = joint.energy(x)
             for _ in range(8):
-                x, _, value, _ = solver.projected_newton(x, 0.0, hi, fixed, joint, 1e-12, 1)
+                x, _, value, _, _ = solver.projected_newton(x, 0.0, hi, fixed, joint, 1e-12, 1)
                 assert value == energy.terms(x[0::2], x[1::2]).total
                 assert value <= e_prev
                 e_prev = value
@@ -361,9 +354,9 @@ class TestSolvePhases:
         phi[0] = 0.5 * np.pi
         energy, fixed_v, fixed_phi = solver.half_line_problem(beta, grid)
         block_tol = 0.25 * solver.solve.__kwdefaults__["grad_tol"]
-        phi, s_phi, value, _ = solver.projected_newton(
+        phi, s_phi, value, _, _ = solver.projected_newton(
             phi, 0.0, np.pi, fixed_phi, energy.phi_block(v), block_tol, solver.BLOCK_STEPS)
-        v, s_v, _, _ = solver.projected_newton(
+        v, s_v, _, _, _ = solver.projected_newton(
             v, 0.0, 1.0, fixed_v, energy.v_block(phi), block_tol, 1, value)
         np.testing.assert_array_equal(result.pair.v, np.concatenate([v[:0:-1], v]))
         np.testing.assert_array_equal(result.pair.phi,
@@ -373,8 +366,9 @@ class TestSolvePhases:
 
     # full-grid node-passes of np.sin and np.cos per solve: 14, 50 and 40 when
     # every block function took its own sin and cos and the report was
-    # unblocked, 10, 32 and 23 with blocks of up to 40 steps each
-    @pytest.mark.parametrize("beta, passes", [(1e-4, 10), (1.0, 20), (1e5, 21.5)])
+    # unblocked, 10, 32 and 23 with blocks of up to 40 steps each, 9.5, 19.5
+    # and 21 when joint Newton's first curvature took its own
+    @pytest.mark.parametrize("beta, passes", [(1e-4, 10), (1.0, 19), (1e5, 20.5)])
     def test_sin_and_cos_once_per_iterate(self, monkeypatch, beta, passes):
         counted = []
         for name in ("sin", "cos"):
@@ -424,14 +418,17 @@ class TestSolvePhases:
         v, phi = start.v[mid:].copy(), start.phi[mid:].copy()
         phi[0] = 0.5 * np.pi
         energy, fixed_v, fixed_phi = solver.half_line_problem(beta, grid)
-        v, phi, _, _, value, gv, gphi = solver.block_round(energy, v, phi, fixed_v, fixed_phi,
+        v, phi, _, _, value, g, angle = solver.block_round(energy, v, phi, fixed_v, fixed_phi,
                                                            1e-8)
         joint = energy.joint()
         x = solver._interleave(v, phi)
-        assert value == joint.energy(x)
+        assert value == joint.energy(x)[0]
         np.testing.assert_array_equal(
-            solver._interleave(gv, gphi),
-            np.where(solver._interleave(fixed_v, fixed_phi), 0.0, joint.gradient(x)))
+            g, np.where(solver._interleave(fixed_v, fixed_phi), 0.0, joint.gradient(x)))
+        # the round's sin and cos of phi serve joint Newton's first curvature
+        np.testing.assert_array_equal(angle.sin, np.sin(phi))
+        np.testing.assert_array_equal(angle.cos, np.cos(phi))
+        np.testing.assert_array_equal(joint.curvature(x, angle), joint.curvature(x))
 
     def test_weak_sigma_keeps_the_benchmark_reference(self, solve_cache):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -449,13 +446,13 @@ class TestSolvePhases:
         v, phi = pair.v.copy(), pair.phi.copy()
         e_prev = energy.terms(v, phi).total
         for _ in range(6):
-            phi, _, value, _ = solver.projected_newton(
+            phi, _, value, _, _ = solver.projected_newton(
                 phi, 0.0, np.pi, fixed, energy.phi_block(v), 1e-12, 5)
             e = energy.terms(v, phi).total
             assert value == e
             assert e <= e_prev + 1e-15
             e_prev = e
-            v, _, value, _ = solver.projected_newton(
+            v, _, value, _, _ = solver.projected_newton(
                 v, 0.0, 1.0, fixed, energy.v_block(phi), 1e-12, 5)
             e = energy.terms(v, phi).total
             assert value == e
@@ -465,19 +462,13 @@ class TestSolvePhases:
     def test_unit_solve_ends_in_joint_steps(self, beta1_result):
         assert 0 < beta1_result.joint_steps < beta1_result.iterations
 
-    def test_spent_budget_names_the_block_round(self, monkeypatch):
-        monkeypatch.setattr(solver, "MAX_HALF_STEPS", 3)
-        with pytest.raises(solver.ConvergenceError, match="block round spent") as err:
-            solver.solve(1.0, half_width=5.0, spacing=0.05, grad_tol=1e-14)
-        assert "3 block + 0 joint Newton steps" in str(err.value)
-        assert err.value.result.joint_steps == 0
-
     def test_spent_budget_names_the_joint_phase(self, monkeypatch):
+        # the budget counts joint steps only: the block round is a fixed stage
         cfg = dict(half_width=5.0, spacing=0.05, grad_tol=1e-12)
         full = solver.solve(1.0, **cfg)
         block = full.iterations - full.joint_steps
         assert full.joint_steps >= 2
-        monkeypatch.setattr(solver, "MAX_HALF_STEPS", block + 1)
+        monkeypatch.setattr(solver, "MAX_HALF_STEPS", 1)
         with pytest.raises(solver.ConvergenceError, match="joint Newton phase spent") as err:
             solver.solve(1.0, **cfg)
         result = err.value.result
@@ -523,7 +514,7 @@ class TestMinimize:
         with pytest.raises(solver.ConvergenceError) as err:
             solver.solve(1.0, half_width=5.0, spacing=0.05, grad_tol=1e-14)
         result = err.value.result
-        assert result.iterations == 3
+        assert result.joint_steps == 3 < result.iterations
         assert result.sigma > 0.0
 
     @pytest.mark.parametrize("beta, config", [
@@ -684,13 +675,13 @@ class TestNewtonKernel:
         fixed = np.array([False, False, False, True])
 
         def merit(y):
-            return 0.5 * float(np.sum((y - target) ** 2))
+            return 0.5 * float(np.sum((y - target) ** 2)), None
 
         g = np.where(fixed, 0.0, x - target)
         g[0] = 1.0  # pushes x[0] below its bound 0
-        x_new, value = solver.arc_search(merit, merit(x), x, g.copy(), g, 0.0, 1.0, fixed)
+        x_new, value, _ = solver.arc_search(merit, merit(x)[0], x, g.copy(), g, 0.0, 1.0, fixed)
         np.testing.assert_array_equal(x_new, [0.0, 0.2, 0.9, 0.5])
-        assert value == merit(x_new) < merit(x)
+        assert value == merit(x_new)[0] < merit(x)[0]
 
     def test_arc_search_takes_a_step_that_rounding_decides(self):
         # predicted decrease 1e-20: a rise of one ulp is rounding, and the
@@ -700,7 +691,8 @@ class TestNewtonKernel:
         fixed = np.zeros(1, dtype=bool)
         for rise, x_end in ((1, 0.75), (100, 0.5)):
             value = 1.0 + rise * math.ulp(1.0)
-            x_new, value_new = solver.arc_search(lambda y: value, 1.0, x, d, g, 0.0, 1.0, fixed)
+            x_new, value_new, _ = solver.arc_search(lambda y: (value, None), 1.0, x, d, g, 0.0,
+                                                    1.0, fixed)
             assert x_new[0] == x_end and value_new == value
 
     def test_equal_energy_steps_that_rise_within_rounding_stall(self):
@@ -710,10 +702,10 @@ class TestNewtonKernel:
         fixed = np.zeros(n, dtype=bool)
         fixed[0] = fixed[-1] = True
         energies = iter(1.0 + k * math.ulp(1.0) for k in range(1000))
-        block = solver.Block(lambda x: next(energies), lambda x: np.full(n, -1e-21),
-                             lambda x: (np.ones(n), np.zeros(n - 1), np.zeros(n)))
-        _, steps, value, _ = solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block,
-                                                     1e-30, 1000)
+        block = ref.plain_block(lambda x: next(energies), lambda x: np.full(n, -1e-21),
+                                lambda x: (np.ones(n), np.zeros(n - 1), np.zeros(n)))
+        _, steps, value, _, _ = solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block,
+                                                        1e-30, 1000)
         assert steps == 1 and value == 1.0 + math.ulp(1.0)
 
     def test_nan_curvature_stops_the_solve(self):
@@ -722,8 +714,8 @@ class TestNewtonKernel:
         n = 9
         fixed = np.zeros(n, dtype=bool)
         fixed[0] = fixed[-1] = True
-        block = solver.Block(lambda x: 0.5 * x @ x, lambda x: x - 0.5,
-                             lambda x: (np.ones(n), np.zeros(n - 1), np.full(n, np.nan)))
+        block = ref.plain_block(lambda x: 0.5 * x @ x, lambda x: x - 0.5,
+                                lambda x: (np.ones(n), np.zeros(n - 1), np.full(n, np.nan)))
         with pytest.raises(ValueError):
             solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block, 1e-12, 1000)
 
@@ -734,10 +726,10 @@ class TestNewtonKernel:
         n = 9
         fixed = np.zeros(n, dtype=bool)
         fixed[0] = fixed[-1] = True
-        block = solver.Block(lambda x: 1.0, lambda x: np.full(n, -0.5),
-                             lambda x: (np.ones(n), np.zeros(n - 1), np.zeros(n)))
-        x, steps, value, g = solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block,
-                                                     1e-12, 1000)
+        block = ref.plain_block(lambda x: 1.0, lambda x: np.full(n, -0.5),
+                                lambda x: (np.ones(n), np.zeros(n - 1), np.zeros(n)))
+        x, steps, value, g, _ = solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block,
+                                                        1e-12, 1000)
         assert steps == 1 and value == 1.0
         assert (x[1:-1] > 0.0).all() and g is not None
 
@@ -747,10 +739,10 @@ class TestNewtonKernel:
         n = 9
         fixed = np.zeros(n, dtype=bool)
         fixed[0] = fixed[-1] = True
-        block = solver.Block(lambda x: 1.0, lambda x: x - 0.5,
-                             lambda x: (np.ones(n), np.zeros(n - 1), np.zeros(n)))
-        _, steps, _, _ = solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block,
-                                                 1e-12, 5)
+        block = ref.plain_block(lambda x: 1.0, lambda x: x - 0.5,
+                                lambda x: (np.ones(n), np.zeros(n - 1), np.zeros(n)))
+        _, steps, _, _, _ = solver.projected_newton(np.zeros(n), 0.0, 1.0, fixed, block,
+                                                    1e-12, 5)
         assert steps == 5
 
 

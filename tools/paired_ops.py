@@ -129,6 +129,11 @@ def main(argv=None) -> int:
     parser.add_argument("-n", "--rounds", type=int, default=10)
     parser.add_argument("--ops", help="comma-separated operation names (default: all eight)")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error(f"-n must be at least 1, got {args.rounds}")
+    for root in (args.base, args.change):
+        if not os.path.isfile(os.path.join(root, "src", "bectension", "__init__.py")):
+            parser.error(f"{root} is not a checkout of this repository: no src/bectension")
 
     clis = {"base": load_tree(args.base, "_paired_base"),
             "change": load_tree(args.change, "_paired_change")}
