@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     grid_opts = argparse.ArgumentParser(add_help=False)
     grid_opts.add_argument("--half-width", type=float, default=None)
     grid_opts.add_argument("--spacing", type=float, default=None)
-    grid_opts.add_argument("--grad-tol", type=float, default=1e-8)
+    grid_opts.add_argument("--grad-tol", type=float, default=solver.GRAD_TOL,
+                           help="tolerance of the projected gradient (default: %(default)g)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -85,9 +85,10 @@ def solve_ground_state(eps: float, grid: Grid1D | None = None) -> GroundState:
     (``solver.band_solve``), and the constraint row is eliminated by
     Sherman-Morrison.  Each step is renormalized.  Converged when the
     max-norm of the sphere-tangent gradient falls below ``GROUND_TOL``.  A spent
-    budget of 60 steps, or a Hessian that is not positive definite, raises
-    ConvergenceError carrying the last normalized state.  Boundary values are
-    pinned at zero; interior values of the result are strictly positive.
+    budget (``solver.MAX_NEWTON_STEPS``) or a Hessian that is not positive
+    definite raises ConvergenceError carrying the last normalized state.
+    Boundary values are pinned at zero; interior values of the result are
+    strictly positive.
     """
     eps = _check_eps(eps)
     grid = grid or default_eta_grid(eps)
@@ -116,10 +117,11 @@ def solve_ground_state(eps: float, grid: Grid1D | None = None) -> GroundState:
         mu = solver.dot(g, gc) / solver.dot(gc, gc)
         gt = g - mu * gc
         gt[0] = gt[-1] = 0.0
-        if np.abs(gt).max() <= GROUND_TOL:
+        norm = np.abs(gt).max()
+        if norm <= GROUND_TOL:
             break
-        if steps == 60:
-            raise stop(f"stalled at tangent gradient {np.abs(gt).max():.3e}")
+        if steps == solver.MAX_NEWTON_STEPS:
+            raise stop(f"spent the budget of {steps} steps at tangent gradient {norm:.3e}")
         steps += 1
         c = h * solver.dot(w, u * u) - 1.0
         diag = np.full(n, 2.0 / h) + h / eps**2 * w * (x * x + 3.0 * u * u) - mu * 2.0 * h * w
@@ -232,7 +234,6 @@ def interface_location(alpha1: float) -> float:
 
 
 KKT_TOL = 1e-6  # stop: max-norm of the projected grad of the Lagrangian and of c1, c2
-MAX_STEPS = 50  # bordered Newton steps of one constrained solve; 2-5 at alpha1 = 1/2
 
 
 @dataclass(frozen=True)
@@ -293,10 +294,11 @@ def _constrained_newton(objective, constraints, x, fixed):
     does not descend on it (near a saddle: beta = 1e4, uneven mass split),
     the free diagonal is shifted by 1e-5, 1e-4, ... times its largest entry.
     The line search stalls when the merit rises by more than its rounding
-    (``solver.rounding``).  Returns ``(x, steps, pg, why)``: pg the max-norm
-    of the projected gradient of the Lagrangian, why None on convergence,
-    else the reason.  The ``solver._Angle`` that ``objective.energy``
-    returns at an iterate goes to every function evaluated there.
+    (``solver.rounding``).  At most ``solver.MAX_NEWTON_STEPS`` steps (2-5 at
+    alpha1 = 1/2).  Returns ``(x, steps, pg, why)``: pg the max-norm of the
+    projected gradient of the Lagrangian, why None on convergence, else the
+    reason.  The ``solver._Angle`` that ``objective.energy`` returns at an
+    iterate goes to every function evaluated there.
     """
     hi = np.tile([np.inf, np.pi], x.size // 2)
     lam = np.zeros(2)
@@ -315,8 +317,8 @@ def _constrained_newton(objective, constraints, x, fixed):
         pg = np.abs(solver._projected(x, g + a @ lam, 0.0, hi)).max()
         if pg <= KKT_TOL and np.abs(c).max() <= KKT_TOL:
             return x, steps, pg, None
-        if steps == MAX_STEPS:
-            return x, steps, pg, f"the budget of {MAX_STEPS} steps is spent"
+        if steps == solver.MAX_NEWTON_STEPS:
+            return x, steps, pg, f"the budget of {steps} steps is spent"
         steps += 1
         ab = constraints.add_hessian(objective.curvature(x, angle), x, lam, angle)
         held = fixed | (ab[0] == 0.0)  # no curvature: phi where v vanishes around it

@@ -25,11 +25,11 @@ of damped projected Newton, both driven by ``projected_newton``:
 The block round is cheap and safe far from the minimizer; at weak coupling
 (beta <= 1e-3 on the default grids) it already meets the tolerance, and the
 joint phase does not run.  Elsewhere the block steps converge only linearly,
-so the round stops early and hands joint Newton its final energy and
-gradient, the floats the joint objective would compute there.  Every step
-backtracks along the projected arc, falling back to -P grad E when the
-Newton direction does not descend, so the energy never rises by more than
-its rounding (``rounding``, 4 ulp).
+so the round stops early and hands joint Newton the energy and gradient it
+ended on, the floats the joint objective computes there.  Joint Newton, like
+``gp_validation``'s two bordered loops, has the budget ``MAX_NEWTON_STEPS``.
+Every step backtracks along the projected arc (-P grad E where the Newton
+direction does not descend): the energy rises by at most its ``rounding``.
 
 The minimizer is even in v and odd about its crossing, phi(-t) = pi - phi(t),
 so ``solve`` minimizes on the half line [0, L] (``half_line_problem``) and
@@ -47,7 +47,7 @@ carried from one block to the next is exact.  ``PairEnergy.joint()`` returns
 the same gradients interleaved.  The sin and cos of an iterate's angles are
 computed once: each energy returns the ``_Angle`` it built with its value,
 and the Newton drivers hand it to the gradient and curvature at that
-iterate and to the next block at the same phi.
+iterate (cos(2 phi) = (cos - sin)(cos + sin)) and to the next block.
 """
 
 from __future__ import annotations
@@ -238,9 +238,11 @@ class PairEnergy:
             g += force * angle.sin * angle.cos
             return g
 
-        def curvature(phi, _=None):
+        def curvature(phi, angle=None):
+            angle = angle or _Angle(phi)
             a = v_terms[2] / (8.0 * h)
-            return _scatter(np.zeros(phi.size), a, a), -a, force * np.cos(2.0 * phi)
+            return (_scatter(np.zeros(phi.size), a, a), -a,
+                    force * (angle.cos - angle.sin) * (angle.cos + angle.sin))
 
         return Block(energy, gradient, curvature)
 
@@ -310,7 +312,8 @@ class PairEnergy:
             v, phi = x[0::2], x[1::2]
             angle = angle or _Angle(phi)
             ab = np.zeros((4, x.size), order="F")
-            blocks = (self.v_block(phi, angle).curvature(v), self.phi_block(v).curvature(phi))
+            blocks = (self.v_block(phi, angle).curvature(v),
+                      self.phi_block(v).curvature(phi, angle))
             for k, (kin, off, pot) in enumerate(blocks):
                 ab[0, k::2] = kin + pot
                 ab[2, k:-2:2] = off
@@ -498,36 +501,33 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
     ``objective`` is a ``Block``: one field with the others frozen (see
     ``PairEnergy.phi_block``, solved by ``tridiagonal_newton``) or the
     interleaved pair (``PairEnergy.joint``, solved by ``band_newton``).
-    ``lo``, ``hi`` and ``tol`` are scalars or one entry per row; the loop
-    stops when every projected-gradient entry is within its ``tol``.  Rows
-    in ``fixed`` never move.  Nodes resting on a box bound stay in the
-    system so one step can detach whole flat regions; ``arc_search`` takes
-    care of any step component leaving the box.  No step raises the energy
-    by more than its ``rounding``, and only where rounding decides the line
-    search.  The loop stops as a stall at machine precision when no step
-    length keeps the energy within its rounding, or when a step did not
-    lower the energy and the max-norm of the projected gradient did not
-    fall below its least value since the energy last fell.
+    ``lo``, ``hi`` and ``tol`` are scalars or one entry per row.  Rows in
+    ``fixed`` never move.  Nodes resting on a box bound stay in the system
+    so one step can detach whole flat regions; ``arc_search`` takes care of
+    any step component leaving the box.  No step raises the energy by more
+    than its ``rounding``, and only where rounding decides the line search.
+    The loop tests the gradient at its top and stops when every
+    projected-gradient entry is within its ``tol``, after ``max_steps``
+    steps, or as a stall at machine precision: no step length keeps the
+    energy within its rounding, or a step did not lower the energy and the
+    max-norm of the projected gradient did not fall below its least value
+    since the energy last fell.
 
     ``value``, ``g`` (pinned rows zeroed) and ``angle`` are the energy,
     gradient and ``_Angle`` at ``x`` when the caller has them.  Returns ``(x,
-    steps, value, g, angle)``: ``g`` is the gradient at the returned ``x``
-    when the loop stopped on it (tolerance or stall) and None when the last
-    step moved ``x``; ``angle`` is the returned ``x``'s ``_Angle``.
+    steps, value, g, angle)``, the last three at the returned ``x`` whichever
+    test stopped the loop, so ``g`` is never None.
     """
     if value is None:
         value, angle = objective.energy(x)
     steps = 0
     least = math.inf  # least max|P grad E| since the energy last fell
-    for _ in range(max_steps):
+    while True:
         if g is None:
             g = np.where(fixed, 0.0, objective.gradient(x, angle))
-        pg = _projected(x, g, lo, hi)
-        size = np.abs(pg)
-        if (size <= tol).all():
-            break
+        size = np.abs(_projected(x, g, lo, hi))
         norm = size.max()
-        if norm >= least:  # an equal-energy step that did not lower the gradient
+        if (size <= tol).all() or steps == max_steps or norm >= least:
             break
         steps += 1
 
@@ -544,8 +544,9 @@ def projected_newton(x, lo, hi, fixed, objective, tol, max_steps, value=None, g=
 # the two Newton drivers: one block round, joint Newton
 # ---------------------------------------------------------------------------
 
-BLOCK_STEPS = 6           # Newton steps of the phi block
-MAX_HALF_STEPS = 200_000  # budget of joint Newton steps of one unit solve
+BLOCK_STEPS = 6        # Newton steps of the phi block
+MAX_NEWTON_STEPS = 50  # budget of every Newton loop: joint, ground state, constrained pair
+GRAD_TOL = 1e-8        # default max-norm of the projected gradient at the end of a solve
 
 
 def block_round(problem, v, phi, fixed_v, fixed_phi, tol):
@@ -560,22 +561,16 @@ def block_round(problem, v, phi, fixed_v, fixed_phi, tol):
     Newton finishes the solve.
 
     Returns ``(v, phi, steps, pg, value, g, angle)``: ``pg`` the stop norm
-    (``_projected_gradient_norm``), ``value`` the energy at the end, ``g``
-    the interleaved gradient there, pinned rows zeroed, and ``angle`` the
-    ``_Angle`` of ``phi``.  ``value`` and ``g`` are the floats
-    ``problem.joint()`` gives at the interleaved pair, so ``joint_newton``
-    starts from them and from ``angle`` without evaluating any again.
+    (``_projected_gradient_norm``), then the energy, the interleaved gradient
+    (pinned rows zeroed) and the ``_Angle`` at the round's end, the floats
+    ``problem.joint()`` gives there, so ``joint_newton`` starts from them
+    without evaluating any again.
     """
     block_tol = 0.25 * tol
-    phi_block = problem.phi_block(v)
-    phi, s_phi, value, _, angle = projected_newton(phi, 0.0, np.pi, fixed_phi, phi_block,
-                                                   block_tol, BLOCK_STEPS)
-    del phi_block  # one block's arrays alive at a time
-    v_block = problem.v_block(phi, angle)
-    v, s_v, value, gv, _ = projected_newton(v, 0.0, 1.0, fixed_v, v_block, block_tol, 1, value)
-    if gv is None:
-        gv = np.where(fixed_v, 0.0, v_block.gradient(v))
-    del v_block
+    phi, s_phi, value, _, angle = projected_newton(phi, 0.0, np.pi, fixed_phi,
+                                                   problem.phi_block(v), block_tol, BLOCK_STEPS)
+    v, s_v, value, gv, _ = projected_newton(v, 0.0, 1.0, fixed_v, problem.v_block(phi, angle),
+                                            block_tol, 1, value)
     gphi = np.where(fixed_phi, 0.0, problem.phi_block(v).gradient(phi, angle))
     return (v, phi, s_phi + s_v, _projected_gradient_norm(v, phi, gv, gphi), value,
             _interleave(gv, gphi), angle)
@@ -601,11 +596,9 @@ def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps, value=None
     tols[:2] = 0.5 * tol  # |2 g_0| <= tol, exactly
     objective = problem.joint()
     fixed = _interleave(fixed_v, fixed_phi)
-    x, steps, _, g, angle = projected_newton(_interleave(v, phi), 0.0,
+    x, steps, _, g, _ = projected_newton(_interleave(v, phi), 0.0,
                                              _interleave(np.ones(n), np.full(n, np.pi)),
                                              fixed, objective, tols, max_steps, value, g, angle)
-    if g is None:
-        g = np.where(fixed, 0.0, objective.gradient(x, angle))
     v, phi = x[0::2], x[1::2]
     return v, phi, steps, _projected_gradient_norm(v, phi, g[0::2], g[1::2])
 
@@ -613,14 +606,14 @@ def joint_newton(problem, v, phi, fixed_v, fixed_phi, tol, max_steps, value=None
 def alternating_refine(
     pair: ProfilePair,
     beta: float,
-    grad_tol: float = 1e-8,
+    grad_tol: float = GRAD_TOL,
 ) -> tuple[ProfilePair, int]:
     """The reference path: joint Newton on the full line, which checks
     ``solve`` (half line, symmetry imposed) by an independent route.  Both
     ends are pinned, and phi = pi/2 at the interior node of the start nearest
     pi/2: that removes the wall's near-flat translation mode and nothing else,
     so the symmetry of the result is tested, not imposed.  Returns the refined
-    pair and the joint Newton steps taken, at most ``MAX_HALF_STEPS``; the
+    pair and the joint Newton steps taken, at most ``MAX_NEWTON_STEPS``; the
     benchmark's tracer looks the function up by name and reads that count.
     Refuses pairs whose amplitude touches 0, where the angle is undefined.
     """
@@ -636,7 +629,7 @@ def alternating_refine(
     phi[crossing] = 0.5 * np.pi
     fixed_phi[crossing] = True
     v, phi, steps, _ = joint_newton(PairEnergy.unit(beta, grid), pair.v.copy(), phi,
-                                    fixed_v, fixed_phi, grad_tol, MAX_HALF_STEPS)
+                                    fixed_v, fixed_phi, grad_tol, MAX_NEWTON_STEPS)
     return ProfilePair(grid, v, phi), steps
 
 
@@ -804,7 +797,7 @@ def half_line_problem(beta: float, grid: Grid1D):
 
 
 def solve(beta: float, *, half_width: float | None = None, spacing: float | None = None,
-          grad_tol: float = 1e-8) -> SurfaceTensionResult:
+          grad_tol: float = GRAD_TOL) -> SurfaceTensionResult:
     """Minimize the transition energy at fixed beta and report diagnostics.
 
     ``half_width`` and ``spacing`` (a target: the actual spacing is at most
@@ -812,7 +805,7 @@ def solve(beta: float, *, half_width: float | None = None, spacing: float | None
     max-norm of the projected gradient at the end.
     Solves on the half line and reflects the result onto the full grid: one
     block round, then joint Newton unless that round met the tolerance.
-    Joint Newton takes at most ``MAX_HALF_STEPS`` steps; a spent budget or a
+    Joint Newton takes at most ``MAX_NEWTON_STEPS`` steps; a spent budget or a
     stall raises ConvergenceError.
     A sigma outside ``analytic.sigma_bracket`` (grid too narrow or too coarse) raises ValueError.
     """
@@ -837,7 +830,7 @@ def solve(beta: float, *, half_width: float | None = None, spacing: float | None
     joint_steps = 0
     if pg > grad_tol:
         v, phi, joint_steps, pg = joint_newton(energy, v, phi, fixed_v, fixed_phi, grad_tol,
-                                               MAX_HALF_STEPS, value, grad, angle)
+                                               MAX_NEWTON_STEPS, value, grad, angle)
     del grad, angle  # before the full-grid arrays of the report
     steps = block_steps + joint_steps
     pair = ProfilePair(grid, np.concatenate([v[:0:-1], v]),
@@ -859,7 +852,7 @@ def solve(beta: float, *, half_width: float | None = None, spacing: float | None
         pair=pair,
     )
     if pg > grad_tol:
-        why = (f"spent the budget of {MAX_HALF_STEPS} steps" if joint_steps == MAX_HALF_STEPS
+        why = (f"spent the budget of {MAX_NEWTON_STEPS} steps" if joint_steps == MAX_NEWTON_STEPS
                else "stalled at machine precision")
         raise ConvergenceError(
             f"projected gradient {pg:.3e} above tolerance {grad_tol:.3e} after "

@@ -62,3 +62,23 @@ def transition_cost_oracle():
         return cache[m]
 
     return get
+
+
+@pytest.fixture
+def count_trig():
+    """``count_trig(f, *args, **kwargs)`` calls f while np.sin and np.cos count
+    the elements they are given; returns f's result and that count."""
+
+    def count(f, *args, **kwargs):
+        counted = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("sin", "cos"):
+                def counting(x, *a, _f=getattr(np, name), **kw):
+                    counted.append(np.size(x))
+                    return _f(x, *a, **kw)
+
+                patch.setattr(np, name, counting)
+            result = f(*args, **kwargs)
+        return result, sum(counted)
+
+    return count

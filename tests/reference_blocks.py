@@ -56,7 +56,8 @@ def pair_curvature(e, v, phi, block):
     else:
         nv2 = e.node * v2
         a = (nv2[:-1] + nv2[1:]) / (8.0 * h)
-        pot = 0.25 * beta * h * e.pot * v2 * v2 * np.cos(2.0 * phi)
+        sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+        pot = 0.25 * beta * h * e.pot * v2 * v2 * (cos_phi - sin_phi) * (cos_phi + sin_phi)
     kin[:-1] += a
     kin[1:] += a
     return kin, -a, pot

@@ -80,7 +80,7 @@ class TestBetaSweep:
         assert len(table) == 1
 
     def test_failures_carry_partial_table(self, monkeypatch):
-        monkeypatch.setattr(solver, "MAX_HALF_STEPS", 2)
+        monkeypatch.setattr(solver, "MAX_NEWTON_STEPS", 2)
         with pytest.raises(asymptotics.SweepError) as err:
             asymptotics.beta_sweep([1.0, 2.0], half_width=5.0, spacing=0.05, grad_tol=1e-14)
         assert set(err.value.failures) == {1.0, 2.0}

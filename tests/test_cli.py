@@ -472,6 +472,14 @@ class TestParser:
         assert shared == outputs(fresh=True)
         assert shared[0][3][1].startswith("beta,")  # the last call is CSV on stdout
 
+    @pytest.mark.parametrize("argv", [["sigma", "--beta", "1"], ["sweep", "--betas", "1:2:2-log"],
+                                      ["profile", "--beta", "1", "--dump", "p.txt"]])
+    def test_grad_tol_defaults_to_the_solver_tolerance(self, capsys, argv):
+        assert cli._build_parser().parse_args(argv).grad_tol == solver.GRAD_TOL
+        with pytest.raises(SystemExit):
+            cli.main([argv[0], "--help"])
+        assert f"(default: {solver.GRAD_TOL:g})" in capsys.readouterr().out
+
 
 class TestImport:
     @staticmethod

@@ -66,6 +66,14 @@ class TestGroundState:
         assert abs(l2_norm(state) - 1.0) <= 1e-12
         assert state.iterations > 0
 
+    def test_spent_budget_raises_with_last_state(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_NEWTON_STEPS", 1)
+        with pytest.raises(solver.ConvergenceError, match="spent the budget of 1 steps") as err:
+            gp.solve_ground_state(0.05)
+        state = err.value.result
+        assert isinstance(state, gp.GroundState) and state.iterations == 1
+        assert abs(l2_norm(state) - 1.0) <= 1e-12
+
     def test_indefinite_hessian_raises_with_last_state(self, monkeypatch):
         def indefinite(d, e, b, *overwrite):  # LAPACK's report of a non-positive pivot
             return d, e, b, 1
@@ -471,21 +479,15 @@ class TestConstrainedMinimization:
         np.testing.assert_array_equal(constraints.add_hessian(np.zeros((4, 2 * n)), x, lam, angle),
                                       constraints.add_hessian(np.zeros((4, 2 * n)), x, lam))
 
-    def test_sin_and_cos_once_per_iterate(self, monkeypatch):
+    def test_sin_and_cos_once_per_iterate(self, count_trig):
         # elements passed to np.sin and np.cos by the benchmark's gamma table,
         # its unit solve left out: 239 835 when the mass constraints took their
-        # own sin and cos of every iterate
-        counted = []
-        for name in ("sin", "cos"):
-            def counting(x, *args, _f=getattr(np, name), **kwargs):
-                counted.append(np.size(x))
-                return _f(x, *args, **kwargs)
-
-            monkeypatch.setattr(np, name, counting)
-        rows = gp.gamma_table([0.04, 0.02, 0.01], 1.0, sigma=SIGMA_BETA_ONE)
-        monkeypatch.undo()
+        # own sin and cos of every iterate, 90 444 when the phi curvature took
+        # cos(2 phi)
+        rows, elements = count_trig(gp.gamma_table, [0.04, 0.02, 0.01], 1.0,
+                                    sigma=SIGMA_BETA_ONE)
         assert [r.newton_steps for r in rows] == [3, 4, 4]
-        assert sum(counted) <= 90_444
+        assert elements <= 73_425
 
     def test_gamma_rows_are_independent_solves(self):
         # each row is its own cold-start minimization: the same eps gives
@@ -541,9 +543,10 @@ class TestConstrainedMinimization:
             gp.minimize_weighted_pair(0.05, 1.0, alpha1=1.5)
 
     def test_unconverged_inner_solve_raises_with_row(self, monkeypatch):
-        monkeypatch.setattr(gp, "MAX_STEPS", 1)
+        eta = gp.solve_ground_state(0.08)  # before the budget, which it shares
+        monkeypatch.setattr(solver, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(solver.ConvergenceError, match="projected gradient") as err:
-            gp.minimize_weighted_pair(0.08, 1.0, sigma=SIGMA_BETA_ONE)
+            gp.minimize_weighted_pair(0.08, 1.0, sigma=SIGMA_BETA_ONE, eta=eta)
         assert "budget of 1 steps is spent" in str(err.value)
         row = err.value.result
         assert isinstance(row, gp.GammaRow)
